@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from math import lcm, prod
 
+from .classify import _factorize
 from .core import (
     GammaDescriptor,
     OrbifoldSignature,
@@ -282,19 +283,6 @@ def _verify_family(family: list[OrbifoldSignature], level: int) -> None:
 # Prime-avoiding seeds and general collections of groups
 # ---------------------------------------------------------------------------
 
-def _prime_factors(n: int) -> set[int]:
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def prime_avoiding_seeds(primes, count: int = 1) -> list[int]:
     """Seeds j * (2 * prod(primes)) - 1 for j = 1..count.
 
@@ -304,7 +292,7 @@ def prime_avoiding_seeds(primes, count: int = 1) -> list[int]:
     primes = sorted(set(primes))
     if not primes:
         raise ValueError("prime set must be nonempty")
-    if any(p < 2 or _prime_factors(p) != {p} for p in primes):
+    if any(p < 2 or _factorize(p) != {p: 1} for p in primes):
         raise ValueError(f"not a set of primes: {primes}")
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
@@ -335,7 +323,7 @@ def general_gamma_family(
         raise ValueError("group collection must be nonempty")
     abelian = [abelianize(gamma) for gamma in groups]
     level = max(ab.rank for ab in abelian)
-    torsion_primes = sorted({p for ab in abelian for d in ab.torsion for p in _prime_factors(d)})
+    torsion_primes = sorted({p for ab in abelian for d in ab.torsion for p in _factorize(d)})
     needed = 1 if level <= 2 else 2 ** (level - 2)
     if torsion_primes:
         seeds = prime_avoiding_seeds(torsion_primes, needed)

@@ -14,10 +14,11 @@ multiplicities.
 from __future__ import annotations
 
 import re
+from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Mapping, Union
+from typing import Union
 
 
 class GammaSupportError(ValueError):
@@ -39,6 +40,8 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
+        if int(den) == 0:
+            raise ValueError(f"zero denominator in {text!r}")
         return Fraction(int(num), int(den))
     return Fraction(int(text))
 
@@ -47,35 +50,31 @@ def parse_rational(text: str) -> Fraction:
 # Orbifold signatures
 # ---------------------------------------------------------------------------
 
-ConesInput = Union[Mapping[int, int], Iterable[tuple[int, int]]]
-
-
+@dataclass(frozen=True, slots=True)
 class OrbifoldSignature:
     """Genus plus multiset of cone orders, the full diffeomorphism invariant.
 
-    ``cones`` is a sorted tuple of ``(order, count)`` pairs with orders >= 2
+    ``cones`` is given as an order -> count mapping or as ``(order, count)``
+    pairs, and is stored merged as a sorted tuple of pairs with orders >= 2
     and counts >= 1; counts are arbitrary-precision.  Instances are
     immutable, hashable, and compare by exact equality of genus and cone
     multiset.
     """
 
-    __slots__ = ("genus", "cones")
-
     genus: int
-    cones: tuple[tuple[int, int], ...]
+    cones: tuple[tuple[int, int], ...] = ()
 
-    def __init__(self, genus: int, cones: ConesInput = ()):
-        if not isinstance(genus, int) or genus < 0:
-            raise ValueError(f"genus must be a nonnegative integer, got {genus!r}")
+    def __post_init__(self):
+        if not isinstance(self.genus, int) or self.genus < 0:
+            raise ValueError(f"genus must be a nonnegative integer, got {self.genus!r}")
         merged: dict[int, int] = {}
-        items = cones.items() if isinstance(cones, Mapping) else cones
-        for order, count in items:
+        cones = self.cones
+        for order, count in cones.items() if isinstance(cones, Mapping) else cones:
             if not isinstance(order, int) or order < 2:
                 raise ValueError(f"cone order must be an integer >= 2, got {order!r}")
             if not isinstance(count, int) or count < 1:
                 raise ValueError(f"cone count must be a positive integer, got {count!r}")
             merged[order] = merged.get(order, 0) + count
-        object.__setattr__(self, "genus", genus)
         object.__setattr__(self, "cones", tuple(sorted(merged.items())))
 
     @classmethod
@@ -97,17 +96,6 @@ class OrbifoldSignature:
             if o == order:
                 return count
         return 0
-
-    def __setattr__(self, name, value):
-        raise AttributeError("OrbifoldSignature is immutable")
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, OrbifoldSignature):
-            return NotImplemented
-        return self.genus == other.genus and self.cones == other.cones
-
-    def __hash__(self) -> int:
-        return hash((self.genus, self.cones))
 
     def __repr__(self) -> str:
         inner = ",".join(
@@ -136,8 +124,14 @@ class OrbifoldSignature:
 
     @classmethod
     def from_json(cls, obj: dict) -> "OrbifoldSignature":
-        cones = [(entry["order"], int(entry["count"])) for entry in obj.get("cones", [])]
-        return cls(obj["genus"], cones)
+        if not isinstance(obj, dict):
+            raise ValueError("signature JSON must be an object")
+        entries = obj.get("cones", [])
+        if not isinstance(entries, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("count"), (int, str)) for e in entries
+        ):
+            raise ValueError("signature cones must be a list of order/count objects")
+        return cls(obj["genus"], [(entry["order"], int(entry["count"])) for entry in entries])
 
 
 def parse_signature(text: str) -> OrbifoldSignature:
@@ -232,7 +226,6 @@ _WORD_TOKEN = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?")
 def parse_word(word: str, generators: tuple[str, ...]) -> tuple[tuple[int, int], ...]:
     """Parse a relator word into (generator index, exponent) pairs."""
     out: list[tuple[int, int]] = []
-    pos = 0
     for token in word.split():
         match = _WORD_TOKEN.fullmatch(token)
         if match is None:
@@ -241,8 +234,7 @@ def parse_word(word: str, generators: tuple[str, ...]) -> tuple[tuple[int, int],
         if name not in generators:
             raise ValueError(f"unknown generator {name!r} in {word!r}")
         out.append((generators.index(name), int(exp) if exp is not None else 1))
-        pos += 1
-    if pos == 0:
+    if not out:
         raise ValueError("empty relator word")
     return tuple(out)
 

@@ -299,13 +299,20 @@ def hom_classes(
 
     The centralizer of a class is the stabilizer of any representative
     tuple; class size times centralizer order always equals the group
-    order (checked).
+    order (checked).  Classes come in ascending order of their
+    representative, the least member of each class.
     """
-    homs = enumerate_homs(gamma, group, budget)
-    remaining = set(homs)
+    return _partition(enumerate_homs(gamma, group, budget), group)
+
+
+def _partition(homs: list[tuple[int, ...]], group: FiniteGroup) -> list[HomClass]:
+    # Conjugation maps homs to homs, so the first unseen hom in sorted order
+    # is the least member of its class.
+    seen: set[tuple[int, ...]] = set()
     classes = []
-    while remaining:
-        rep = min(remaining)
+    for rep in sorted(homs):
+        if rep in seen:
+            continue
         orbit = set()
         stabilizer = 0
         for g in range(group.order):
@@ -315,7 +322,7 @@ def hom_classes(
                 stabilizer += 1
         if len(orbit) * stabilizer != group.order:
             raise RuntimeError("orbit-stabilizer mismatch in conjugacy computation")
-        remaining -= orbit
+        seen |= orbit
         classes.append(
             HomClass(
                 representative=rep,
@@ -324,7 +331,6 @@ def hom_classes(
                 image=group.subgroup_closure(rep),
             )
         )
-    classes.sort(key=lambda cls: cls.representative)
     return classes
 
 
@@ -382,13 +388,14 @@ def chi_gamma_quotient(
     Computed twice, once as the sum over conjugacy classes of
     chi(fixed set of the image) / centralizer order, and once as the
     average over all homomorphisms of chi(fixed set); the two must agree
-    exactly.
+    exactly.  Both sums run over one enumeration of the homomorphisms.
     """
+    homs = enumerate_homs(gamma, group, budget)
     by_classes = Fraction(0)
-    for cls in hom_classes(gamma, group, budget):
+    for cls in _partition(homs, group):
         by_classes += Fraction(fixed.chi(cls.image), cls.centralizer_order)
     total = 0
-    for hom in enumerate_homs(gamma, group, budget):
+    for hom in homs:
         total += fixed.chi(group.subgroup_closure(hom))
     by_average = Fraction(total, group.order)
     if by_classes != by_average:

@@ -70,6 +70,24 @@ def test_chi_malformed_signature_exits_2(run):
     assert err
 
 
+@pytest.mark.parametrize(
+    "document",
+    ['{"genus":0,"cones":5}', '{"genus":0,"cones":[5]}', '{"genus":0,"cones":[{"order":3,"count":null}]}'],
+)
+def test_chi_malformed_json_signature_exits_2(run, document):
+    code, _, err = run("chi", "--sig", document)
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_chi_non_object_signature_file_exits_2(run, tmp_path):
+    path = tmp_path / "sig.json"
+    path.write_text("[1, 2]")
+    code, _, err = run("chi", "--sig", str(path))
+    assert code == 2
+    assert err.startswith("error:")
+
+
 def test_chi_unsupported_gamma_exits_3(run):
     code, _, err = run("chi", "--sig", "Sigma_0()", "--gamma", "E8")
     assert code == 3
@@ -135,6 +153,13 @@ def test_reconstruct_invalid_exits_2(run):
     code, _, err = run("reconstruct", "--seq", "2,3,4")
     assert code == 2
     assert "not a valid characteristic sequence" in err
+
+
+@pytest.mark.parametrize("seq", ["1/0", "-1/2,2,1/0"])
+def test_reconstruct_zero_denominator_exits_2(run, seq):
+    code, _, err = run("reconstruct", f"--seq={seq}")
+    assert code == 2
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_enumerate_streams_signatures(run):

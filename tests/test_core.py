@@ -6,6 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, strategies as st
 
+import orbichar
 from orbichar import (
     FgAbelian,
     FreeGroup,
@@ -321,3 +322,24 @@ def test_mirrored_rejects_even_or_small_corners():
         MirroredCylinder((4,), ())
     with pytest.raises(ValueError):
         MirroredCylinder((1,), ())
+
+
+def test_public_names_are_stable():
+    assert orbichar.__all__ == [
+        "CollisionGroup", "ConstructionError", "FgAbelian", "FiniteGroup",
+        "FixedPointCharacter", "FixedPointDataError", "FreeGroup", "GammaDescriptor",
+        "GammaSupportError", "HomBudgetExceeded", "HomClass", "InsufficientData",
+        "InvalidSequenceError", "MirroredCylinder", "OrbifoldSignature", "Presented",
+        "TRIVIAL_GROUP", "abelianize", "base_pair", "build_collision_pair",
+        "char_sequence", "chi_es", "chi_es_mirrored", "chi_gamma", "chi_gamma_mirrored",
+        "chi_gamma_quotient", "chi_gamma_times_manifold", "chi_level", "chi_top",
+        "combine", "cyclic_group", "dihedral_group", "direct_product",
+        "enumerate_by_chi_es", "enumerate_homs", "equalize_cone_counts",
+        "expand_family", "format_rational", "general_gamma_family", "group_by_name",
+        "hom_classes", "hom_count_cyclic", "is_diffeomorphic",
+        "iter_signatures_by_chi_es", "minimal_recurrence", "parse_rational",
+        "parse_signature", "power_sum", "prime_avoiding_seeds", "reconstruct",
+        "remove_cone_point", "repeat", "rotation_kernel", "rotation_sphere_action",
+        "same_level_family", "scale", "search_collisions",
+    ]
+    assert all(hasattr(orbichar, name) for name in orbichar.__all__)

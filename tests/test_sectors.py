@@ -190,8 +190,18 @@ def test_class_equation():
     for gamma in (FgAbelian(1), FgAbelian(2), FgAbelian(0, (2,))):
         for group in (dihedral_group(3), dihedral_group(5), cyclic_group(8)):
             classes = hom_classes(gamma, group)
-            assert sum(cls.size for cls in classes) == len(enumerate_homs(gamma, group))
+            homs = enumerate_homs(gamma, group)
+            assert sum(cls.size for cls in classes) == len(homs)
             assert all(cls.size * cls.centralizer_order == group.order for cls in classes)
+            orbits = [
+                {tuple(group.conjugate(g, x) for x in cls.representative) for g in range(group.order)}
+                for cls in classes
+            ]
+            assert [len(orbit) for orbit in orbits] == [cls.size for cls in classes]
+            assert set().union(*orbits) == set(homs)
+            assert all(cls.representative == min(orbit) for cls, orbit in zip(classes, orbits))
+            reps = [cls.representative for cls in classes]
+            assert all(a < b for a, b in zip(reps, reps[1:]))
 
 
 # ---------------------------------------------------------------------------
