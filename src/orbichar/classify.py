@@ -13,6 +13,7 @@ from __future__ import annotations
 from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations_with_replacement
 from math import gcd
 from typing import Iterator, Sequence, Union
 
@@ -155,11 +156,6 @@ def reconstruct(values: Sequence[Fraction | int]) -> ReconstructResult:
             )
         diffs.append(int(step))
 
-    length = len(values) - 1
-
-    def verified(candidate: OrbifoldSignature) -> bool:
-        return char_sequence(candidate, length) == values
-
     if all(d == 0 for d in diffs):
         if values[0] == values[1]:
             return OrbifoldSignature(genus)
@@ -207,7 +203,7 @@ def reconstruct(values: Sequence[Fraction | int]) -> ReconstructResult:
             return fail()
         cones[order] = int(count)
     candidate = OrbifoldSignature(genus, cones)
-    if not verified(candidate):
+    if char_sequence(candidate, len(values) - 1) != values:
         return fail()
     return candidate
 
@@ -272,8 +268,7 @@ def _iter_order_tuples(k: int, p: int, q: int, lo: int) -> Iterator[tuple[int, .
             yield (q // p,)
         return
     if k == 2:
-        for m1, m2 in _iter_final_pairs(p, q, lo):
-            yield (m1, m2)
+        yield from _iter_final_pairs(p, q, lo)
         return
     m_lo = max(lo, -(-q // p))
     m_hi = k * q // p
@@ -336,18 +331,9 @@ def search_collisions(
     if min(genus_max, count_max, order_max, level) < 0:
         raise ValueError("all bounds must be nonnegative")
     buckets: dict[tuple[Fraction, ...], list[OrbifoldSignature]] = defaultdict(list)
-
-    def order_tuples(k: int, lo: int):
-        if k == 0:
-            yield ()
-            return
-        for m in range(lo, order_max + 1):
-            for rest in order_tuples(k - 1, m):
-                yield (m,) + rest
-
     for genus in range(genus_max + 1):
         for k in range(count_max + 1):
-            for orders in order_tuples(k, 2):
+            for orders in combinations_with_replacement(range(2, order_max + 1), k):
                 sig = OrbifoldSignature.from_orders(genus, *orders)
                 buckets[tuple(char_sequence(sig, level))].append(sig)
     groups = [

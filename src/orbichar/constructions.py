@@ -79,13 +79,6 @@ def remove_cone_point(sig: OrbifoldSignature, order: int) -> OrbifoldSignature:
     return OrbifoldSignature(sig.genus, cones)
 
 
-def _multiple(sig: OrbifoldSignature, t: int) -> OrbifoldSignature:
-    # t-fold combine allowing t == 0 (the cone-free signature)
-    if t == 0:
-        return OrbifoldSignature(sig.genus)
-    return repeat(sig, t)
-
-
 # ---------------------------------------------------------------------------
 # Matched base pairs
 # ---------------------------------------------------------------------------
@@ -207,13 +200,8 @@ def build_collision_pair(
         pairs = equalize_cone_counts(merged, mode=equalize)
         exponent += 1
 
-    first, second = pairs[0]
-    if first == second:
-        raise ConstructionError("constructed pair is not distinct")
-    for l in range(level + 1):
-        if chi_level(first, l) != chi_level(second, l):
-            raise ConstructionError(f"constructed pair disagrees at level {l}")
-    return first, second
+    _verify_family(list(pairs[0]), level)
+    return pairs[0]
 
 
 # ---------------------------------------------------------------------------
@@ -259,13 +247,12 @@ def expand_family(
                 cones[order] -= shared
     if not cones_a and not cones_b:
         raise ValueError("pair members are equal after stripping shared cones")
-    stripped_a = OrbifoldSignature(a.genus, cones_a)
-    stripped_b = OrbifoldSignature(b.genus, cones_b)
 
-    family = [
-        combine(_multiple(stripped_a, members - j), _multiple(stripped_b, j - 1))
-        for j in range(1, members + 1)
-    ]
+    family = []
+    for j in range(1, members + 1):
+        sides = ((members - j, cones_a), (j - 1, cones_b))
+        cones = [(order, t * count) for t, side in sides if t for order, count in side.items()]
+        family.append(OrbifoldSignature(a.genus, cones))
     _verify_family(family, level)
     return family
 

@@ -65,14 +65,14 @@ class OrbifoldSignature:
     cones: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.genus, int) or self.genus < 0:
+        if type(self.genus) is not int or self.genus < 0:
             raise ValueError(f"genus must be a nonnegative integer, got {self.genus!r}")
         merged: dict[int, int] = {}
         cones = self.cones
         for order, count in cones.items() if isinstance(cones, Mapping) else cones:
-            if not isinstance(order, int) or order < 2:
+            if type(order) is not int or order < 2:
                 raise ValueError(f"cone order must be an integer >= 2, got {order!r}")
-            if not isinstance(count, int) or count < 1:
+            if type(count) is not int or count < 1:
                 raise ValueError(f"cone count must be a positive integer, got {count!r}")
             merged[order] = merged.get(order, 0) + count
         object.__setattr__(self, "cones", tuple(sorted(merged.items())))
@@ -86,10 +86,6 @@ class OrbifoldSignature:
     def cone_count(self) -> int:
         """Total number of cone points, counted with multiplicity."""
         return sum(count for _, count in self.cones)
-
-    @property
-    def distinct_orders(self) -> tuple[int, ...]:
-        return tuple(order for order, _ in self.cones)
 
     def count_of(self, order: int) -> int:
         for o, count in self.cones:
@@ -128,7 +124,7 @@ class OrbifoldSignature:
             raise ValueError("signature JSON must be an object")
         entries = obj.get("cones", [])
         if not isinstance(entries, list) or not all(
-            isinstance(e, dict) and isinstance(e.get("count"), (int, str)) for e in entries
+            isinstance(e, dict) and type(e.get("count")) in (int, str) for e in entries
         ):
             raise ValueError("signature cones must be a list of order/count objects")
         return cls(obj["genus"], [(entry["order"], int(entry["count"])) for entry in entries])

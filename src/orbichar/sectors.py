@@ -43,12 +43,6 @@ class FixedPointDataError(KeyError):
     """A required subgroup is missing from the fixed-point data."""
 
 
-def _hom_budget(budget: int | None) -> int:
-    if budget is not None:
-        return budget
-    return int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_HOM_BUDGET))
-
-
 # ---------------------------------------------------------------------------
 # Finite groups as multiplication tables
 # ---------------------------------------------------------------------------
@@ -69,7 +63,7 @@ class FiniteGroup:
             raise ValueError("multiplication table must be square and nonempty")
         for row in rows:
             for entry in row:
-                if not isinstance(entry, int) or not 0 <= entry < order:
+                if type(entry) is not int or not 0 <= entry < order:
                     raise ValueError(f"table entry {entry!r} out of range")
         identity = None
         for e in range(order):
@@ -149,7 +143,11 @@ class FiniteGroup:
 
     @classmethod
     def from_json(cls, obj: dict) -> "FiniteGroup":
+        if not isinstance(obj, dict):
+            raise ValueError("group JSON must be an object")
         table = obj["table"]
+        if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
+            raise ValueError("group table must be a list of rows")
         if "order" in obj and obj["order"] != len(table):
             raise ValueError("declared order does not match the table")
         return cls(table)
@@ -234,7 +232,7 @@ def enumerate_homs(
         n_gens = gamma.rank + len(gamma.torsion)
     else:
         raise TypeError(f"unsupported group descriptor: {gamma!r}")
-    cap = _hom_budget(budget)
+    cap = budget if budget is not None else int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_HOM_BUDGET))
     if group.order**n_gens > cap:
         raise HomBudgetExceeded(
             f"{group.order}**{n_gens} image tuples exceed the budget of {cap}"
@@ -374,6 +372,14 @@ class FixedPointCharacter:
 
     @classmethod
     def from_json(cls, entries) -> "FixedPointCharacter":
+        if not isinstance(entries, list) or not all(
+            isinstance(e, dict)
+            and isinstance(e.get("subgroup"), list)
+            and all(type(x) is int for x in e["subgroup"])
+            and type(e.get("chi")) is int
+            for e in entries
+        ):
+            raise ValueError("fixed-point data must be a list of subgroup/chi objects")
         return cls({frozenset(entry["subgroup"]): entry["chi"] for entry in entries})
 
 

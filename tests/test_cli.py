@@ -5,6 +5,7 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orbichar.cli import main
 
@@ -86,6 +87,20 @@ def test_chi_non_object_signature_file_exits_2(run, tmp_path):
     code, _, err = run("chi", "--sig", str(path))
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--sig", '{"genus":true,"cones":[{"order":3,"count":true}]}', "--seq-len", "2"),
+        ("--sig", '{"genus":false,"cones":[]}'),
+        ("--sig", '{"genus":0,"cones":[{"order":3,"count":true}]}'),
+    ],
+)
+def test_chi_boolean_signature_exits_2(run, argv):
+    code, out, err = run("chi", *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 def test_chi_unsupported_gamma_exits_3(run):
@@ -210,6 +225,61 @@ def test_quotient_missing_fpc_entry_exits_2(run, tmp_path):
     code, _, err = run("quotient", "--group", "C6", "--fpc", str(fpc), "--gamma", "Z")
     assert code == 2
     assert err
+
+
+@pytest.mark.parametrize(
+    "option, document",
+    [
+        ("--fpc", '[{"subgroup":5,"chi":2}]'),
+        ("--fpc", '{"x":1}'),
+        ("--fpc", "[5]"),
+        ("--fpc", '[{"subgroup":[0],"chi":null}]'),
+        ("--fpc", '[{"subgroup":[[0]],"chi":2}]'),
+        ("--fpc", '[{"subgroup":[0],"chi":true},{"subgroup":[0,1,2],"chi":2}]'),
+        ("--group", '{"table":5}'),
+        ("--group", "[[0]]"),
+        ("--group", '{"table":[5]}'),
+        ("--group", '{"table":[[false]]}'),
+    ],
+)
+def test_quotient_malformed_document_exits_2(run, tmp_path, option, document):
+    fpc = tmp_path / "fpc.json"
+    fpc.write_text(json.dumps([{"subgroup": [0], "chi": 2}, {"subgroup": [0, 1, 2], "chi": 2}]))
+    bad = tmp_path / "bad.json"
+    bad.write_text(document)
+    files = {"--group": "C3", "--fpc": str(fpc), option: str(bad)}
+    code, out, err = run("quotient", *(x for pair in files.items() for x in pair), "--gamma", "Z")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+_KEYS = st.sampled_from(["genus", "cones", "order", "count", "table", "subgroup", "chi"])
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(_KEYS | st.text(max_size=3), inner, max_size=4),
+    max_leaves=16,
+)
+
+
+@pytest.mark.parametrize("source", ["inline-sig", "sig-file", "group-file", "fpc-file"])
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(document=_JSON)
+def test_json_documents_exit_cleanly(run, tmp_path, source, document):
+    text = json.dumps(document)
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    fpc = tmp_path / "fpc.json"
+    fpc.write_text('[{"subgroup":[0],"chi":2}]')
+    argv = {
+        "inline-sig": ["chi", f"--sig={text}"],
+        "sig-file": ["chi", f"--sig={path}"],
+        "group-file": ["quotient", f"--group={path}", f"--fpc={fpc}", "--gamma=Z"],
+        "fpc-file": ["quotient", "--group=C3", f"--fpc={path}", "--gamma=Z"],
+    }[source]
+    code, _, err = run(*argv)
+    assert code in (0, 2, 3)
+    assert code == 0 or (err.startswith("error:") and err.count("\n") == 1)
 
 
 @pytest.mark.parametrize(

@@ -224,6 +224,20 @@ def test_signature_validation():
         OrbifoldSignature(0, {2: 0})
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: OrbifoldSignature(True),
+        lambda: OrbifoldSignature(False, [(3, 1)]),
+        lambda: OrbifoldSignature(0, [(3, True)]),
+        lambda: OrbifoldSignature.from_json({"genus": 0, "cones": [{"order": 3, "count": True}]}),
+    ],
+)
+def test_signature_rejects_booleans(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_signature_is_immutable_and_hashable():
     signature = sig(0, 2, 3)
     with pytest.raises(AttributeError):

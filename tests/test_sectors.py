@@ -215,6 +215,19 @@ def test_fixed_point_character_json():
     assert clone.subgroups() == [frozenset({0}), frozenset({0, 1})]
 
 
+@pytest.mark.parametrize(
+    "load",
+    [
+        lambda: FixedPointCharacter.from_json([{"subgroup": [0], "chi": True}]),
+        lambda: FixedPointCharacter.from_json([{"subgroup": [True], "chi": 2}]),
+        lambda: FiniteGroup.from_json({"table": [[False]]}),
+    ],
+)
+def test_loaders_reject_booleans(load):
+    with pytest.raises(ValueError):
+        load()
+
+
 def test_fixed_point_character_missing_entry():
     fixed = FixedPointCharacter({frozenset({0}): 2})
     with pytest.raises(FixedPointDataError) as err:
