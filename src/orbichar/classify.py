@@ -4,7 +4,7 @@ The level-l characteristics of a signature determine it completely once
 enough levels are known: consecutive differences of the sequence form an
 exponential sum over the distinct cone orders, so an exact minimal linear
 recurrence recovers the orders as integer roots of its characteristic
-polynomial, and an exact linear solve recovers the multiplicities.  All
+polynomial, and dividing out each root isolates its multiplicity.  All
 arithmetic is rational and exact; there are no tolerances anywhere.
 """
 
@@ -82,50 +82,43 @@ def minimal_recurrence(seq: Sequence[Fraction | int]) -> tuple[list[Fraction], i
     return [-c for c in current[1 : depth + 1]], depth
 
 
-def _integer_roots(coefficients: list[int]) -> list[int] | None:
-    """All roots of x^d - c[0]*x^(d-1) - ... - c[d-1], if they are exactly
-    d distinct integers >= 2; None otherwise."""
-    depth = len(coefficients)
-    constant = coefficients[-1]
-    trace = coefficients[0]
-    if constant == 0 or trace < 2 * depth:
-        return None
+def _horner(poly: list[int], x: int) -> tuple[int, int]:
+    """Value and slope at x of poly, given highest degree first."""
+    value = slope = 0
+    for c in poly:
+        slope = slope * x + value
+        value = value * x + c
+    return value, slope
 
-    def evaluate(x: int) -> int:
-        value = 1
-        for c in coefficients:
-            value = value * x - c
-        return value
 
+def _divide_root(poly: list[int], r: int) -> list[int]:
+    """Quotient of poly by (x - r); the remainder must be zero."""
+    quotient = [poly[0]]
+    for c in poly[1:-1]:
+        quotient.append(quotient[-1] * r + c)
+    return quotient
+
+
+def _integer_roots(poly: list[int]) -> list[int] | None:
+    """Roots of the monic poly, largest first, if all are distinct integers
+    >= 2; None otherwise.  Newton steps from the trace, rounded down, never
+    pass the largest root of a real-rooted polynomial, which is divided out
+    before resuming below it; each step lowers x or removes a root."""
     roots: list[int] = []
-    bound = trace - 2 * (depth - 1)  # remaining roots are >= 2 each
-    candidate = 2
-    while candidate <= bound and len(roots) < depth:
-        if constant % candidate == 0 and evaluate(candidate) == 0:
-            roots.append(candidate)
-        candidate += 1
-    if len(roots) != depth:
-        return None
-    return roots
-
-
-def _solve_vandermonde(roots: list[int], targets: list[int]) -> list[Fraction] | None:
-    """Solve sum(weights[i] * roots[i]**j) == targets[j] exactly."""
-    depth = len(roots)
-    matrix = [
-        [Fraction(roots[i] ** j) for i in range(depth)] + [Fraction(targets[j])]
-        for j in range(depth)
-    ]
-    for col in range(depth):
-        pivot = next((r for r in range(col, depth) if matrix[r][col] != 0), None)
-        if pivot is None:
+    x = -poly[1]
+    while len(poly) > 1:
+        if x < 2:
             return None
-        matrix[col], matrix[pivot] = matrix[pivot], matrix[col]
-        for row in range(depth):
-            if row != col and matrix[row][col] != 0:
-                factor = matrix[row][col] / matrix[col][col]
-                matrix[row] = [a - factor * b for a, b in zip(matrix[row], matrix[col])]
-    return [matrix[i][depth] / matrix[i][i] for i in range(depth)]
+        value, slope = _horner(poly, x)
+        if value == 0:
+            roots.append(x)
+            poly = _divide_root(poly, x)
+            x -= 1
+        elif value < 0 or slope <= 0:
+            return None
+        else:
+            x = max(1, (x * slope - value) // slope)
+    return roots
 
 
 def reconstruct(values: Sequence[Fraction | int]) -> ReconstructResult:
@@ -190,15 +183,17 @@ def reconstruct(values: Sequence[Fraction | int]) -> ReconstructResult:
 
     if any(c.denominator != 1 for c in coefficients):
         return fail()
-    roots = _integer_roots([int(c) for c in coefficients])
+    poly = [1] + [-int(c) for c in coefficients]
+    roots = _integer_roots(poly)
     if roots is None:
         return fail()
-    weights = _solve_vandermonde(roots, diffs[:depth])
-    if weights is None:
-        return fail()
     cones: dict[int, int] = {}
-    for order, weight in zip(roots, weights):
-        count = weight / (order - 1)
+    for order in roots:
+        # the quotient vanishes at every other order, so it isolates this
+        # order's term (order - 1) * count * order**j of the differences
+        quotient = _divide_root(poly, order)
+        weight = sum(c * d for c, d in zip(reversed(quotient), diffs))
+        count = Fraction(weight, _horner(quotient, order)[0] * (order - 1))
         if count <= 0 or count.denominator != 1:
             return fail()
         cones[order] = int(count)

@@ -39,7 +39,7 @@ Pair = tuple[OrbifoldSignature, OrbifoldSignature]
 
 def scale(sig: OrbifoldSignature, s: int) -> OrbifoldSignature:
     """Multiply every cone order by s (genus and multiplicities unchanged)."""
-    if not isinstance(s, int) or s < 1:
+    if type(s) is not int or s < 1:
         raise ValueError(f"scale factor must be a positive integer, got {s!r}")
     if s == 1:
         return sig
@@ -48,7 +48,7 @@ def scale(sig: OrbifoldSignature, s: int) -> OrbifoldSignature:
 
 def repeat(sig: OrbifoldSignature, t: int) -> OrbifoldSignature:
     """Multiply every cone multiplicity by t; equals the t-fold self-combine."""
-    if not isinstance(t, int) or t < 1:
+    if type(t) is not int or t < 1:
         raise ValueError(f"repeat factor must be a positive integer, got {t!r}")
     if t == 1:
         return sig
@@ -90,7 +90,7 @@ def base_pair(genus: int, seed: int) -> Pair:
     Sigma_g(q+2, q^2+2q, q^2+2q) for q = seed; both have characteristics
     1/q - 1 - 2g, 2 - 2g, and 1 - 2g + 5q + 2q^2 at levels 0, 1, 2.
     """
-    if not isinstance(seed, int) or seed < 2:
+    if type(seed) is not int or seed < 2:
         raise ValueError(f"seed must be an integer >= 2, got {seed!r}")
     q = seed
     first = OrbifoldSignature(genus, [(2 * q + 1, 2), (2 * q * q + q, 1)])
@@ -182,7 +182,7 @@ def build_collision_pair(
     if level < 0:
         raise ValueError(f"level must be nonnegative, got {level}")
     seeds = sorted(seeds)
-    if any(not isinstance(s, int) or s < 2 for s in seeds):
+    if any(type(s) is not int or s < 2 for s in seeds):
         raise ValueError("seeds must be integers >= 2")
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")

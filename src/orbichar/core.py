@@ -164,7 +164,7 @@ class FreeGroup:
     rank: int
 
     def __post_init__(self):
-        if not isinstance(self.rank, int) or self.rank < 0:
+        if type(self.rank) is not int or self.rank < 0:
             raise ValueError(f"rank must be a nonnegative integer, got {self.rank!r}")
 
 
@@ -183,11 +183,11 @@ class FgAbelian:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if not isinstance(self.rank, int) or self.rank < 0:
+        if type(self.rank) is not int or self.rank < 0:
             raise ValueError(f"rank must be a nonnegative integer, got {self.rank!r}")
         torsion = tuple(sorted(self.torsion))
         for d in torsion:
-            if not isinstance(d, int) or d < 2:
+            if type(d) is not int or d < 2:
                 raise ValueError(f"torsion coefficient must be an integer >= 2, got {d!r}")
         object.__setattr__(self, "torsion", torsion)
 
@@ -419,7 +419,7 @@ class MirroredCylinder:
         for attr in ("boundary0", "boundary1"):
             orders = tuple(sorted(getattr(self, attr)))
             for n in orders:
-                if not isinstance(n, int) or n < 2:
+                if type(n) is not int or n < 2:
                     raise ValueError(f"corner order must be an integer >= 2, got {n!r}")
                 if n % 2 == 0:
                     raise ValueError(f"corner order must be odd, got {n}")

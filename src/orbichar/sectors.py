@@ -350,7 +350,13 @@ class FixedPointCharacter:
     def __init__(self, chars):
         normalized = {}
         for subgroup, chi in dict(chars).items():
-            normalized[frozenset(subgroup)] = int(chi)
+            subgroup = frozenset(subgroup)
+            if type(chi) is not int or any(type(x) is not int for x in subgroup):
+                raise ValueError(
+                    f"fixed-point chi {chi!r} and subgroup elements {set(subgroup)!r} "
+                    "must be ints"
+                )
+            normalized[subgroup] = chi
         self._chars = normalized
 
     def chi(self, subgroup: frozenset[int]) -> int:
@@ -397,14 +403,25 @@ def chi_gamma_quotient(
     exactly.  Both sums run over one enumeration of the homomorphisms.
     """
     homs = enumerate_homs(gamma, group, budget)
+    classes = _partition(homs, group)
     by_classes = Fraction(0)
-    for cls in _partition(homs, group):
+    for cls in classes:
         by_classes += Fraction(fixed.chi(cls.image), cls.centralizer_order)
     total = 0
     for hom in homs:
         total += fixed.chi(group.subgroup_closure(hom))
     by_average = Fraction(total, group.order)
     if by_classes != by_average:
+        # every image in a class is a conjugate of the representative's
+        for cls in classes:
+            for g in range(group.order):
+                other = frozenset(group.conjugate(g, x) for x in cls.image)
+                if fixed.chi(other) != fixed.chi(cls.image):
+                    raise ValueError(
+                        f"fixed-point data is not conjugation-invariant: conjugate "
+                        f"subgroups {sorted(cls.image)} and {sorted(other)} have chi "
+                        f"{fixed.chi(cls.image)} and {fixed.chi(other)}"
+                    )
         raise RuntimeError(
             f"sector sums disagree: {by_classes} by classes, {by_average} by average"
         )

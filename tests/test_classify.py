@@ -1,5 +1,6 @@
 """Characteristic sequences, reconstruction, enumeration, collision search."""
 
+import time
 from fractions import Fraction
 
 import pytest
@@ -317,6 +318,25 @@ def test_reconstruct_many_orders_with_beyond_word_counts():
     assert depth >= 10
     assert member.cone_count > 2**64
     assert reconstruct(char_sequence(member, 2 * depth + 2)) == member
+
+
+@pytest.mark.parametrize(
+    "signature",
+    [
+        OrbifoldSignature(0, {10**7: 1}),
+        OrbifoldSignature(0, {10**9: 1}),
+        OrbifoldSignature(0, {10**30: 1}),
+        OrbifoldSignature(0, {2: 5, 10**30: 1, (10**30 + 1) ** 2: 1}),
+        OrbifoldSignature(1, {7: 2, 10**9: 3}),
+    ],
+)
+def test_reconstruct_large_orders_quickly(signature):
+    # the root search must not grow with the size of the largest order
+    values = char_sequence(signature, 2 * len(signature.cones) + 2)
+    start = time.perf_counter()
+    result = reconstruct(values)
+    assert time.perf_counter() - start < 0.05
+    assert result == signature
 
 
 # ---------------------------------------------------------------------------

@@ -177,6 +177,21 @@ def test_reconstruct_zero_denominator_exits_2(run, seq):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+_SEQ_TOKENS = st.one_of(
+    st.integers(-(10**40), 10**40).map(str),
+    st.builds("{}/{}".format, st.integers(-(10**40), 10**40), st.integers(1, 10**6)),
+    st.sampled_from(["", "1/0", "x", "1e3"]),
+)
+
+
+@settings(deadline=1000, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(tokens=st.lists(_SEQ_TOKENS, min_size=1, max_size=12))
+def test_reconstruct_any_sequence_exits_cleanly(run, tokens):
+    code, _, err = run("reconstruct", "--seq=" + ",".join(tokens))
+    assert code in (0, 2)
+    assert code == 0 or (err.startswith("error:") and err.count("\n") == 1)
+
+
 def test_enumerate_streams_signatures(run):
     code, out, _ = run("enumerate", "--chi-es", "0")
     assert code == 0
@@ -225,6 +240,16 @@ def test_quotient_missing_fpc_entry_exits_2(run, tmp_path):
     code, _, err = run("quotient", "--group", "C6", "--fpc", str(fpc), "--gamma", "Z")
     assert code == 2
     assert err
+
+
+def test_quotient_conjugation_variant_data_exits_2(run, tmp_path):
+    fpc = tmp_path / "fpc.json"
+    chars = {(0,): 2, (0, 1, 2): 2, (0, 3): 2, (0, 4): 0, (0, 5): 0, tuple(range(6)): 2}
+    fpc.write_text(json.dumps([{"subgroup": list(s), "chi": c} for s, c in chars.items()]))
+    code, out, err = run("quotient", "--group", "D6", "--fpc", str(fpc), "--gamma", "Z")
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert "conjugate subgroups [0, 3] and [0, 4]" in err
 
 
 @pytest.mark.parametrize(

@@ -238,6 +238,20 @@ def test_signature_rejects_booleans(build):
         build()
 
 
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: FreeGroup(True),
+        lambda: FgAbelian(True),
+        lambda: orbichar.scale(sig(0, 2), True),
+        lambda: orbichar.repeat(sig(0, 2), True),
+    ],
+)
+def test_descriptors_and_factors_reject_booleans(build):
+    with pytest.raises(ValueError):
+        build()
+
+
 def test_signature_is_immutable_and_hashable():
     signature = sig(0, 2, 3)
     with pytest.raises(AttributeError):

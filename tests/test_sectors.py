@@ -228,6 +228,15 @@ def test_loaders_reject_booleans(load):
         load()
 
 
+@pytest.mark.parametrize(
+    "chars",
+    [{frozenset({0}): 2.7}, {(0, 1): "3"}, {(0,): True}, {(0.0,): 2}, {(True,): 2}],
+)
+def test_fixed_point_character_rejects_non_int(chars):
+    with pytest.raises(ValueError):
+        FixedPointCharacter(chars)
+
+
 def test_fixed_point_character_missing_entry():
     fixed = FixedPointCharacter({frozenset({0}): 2})
     with pytest.raises(FixedPointDataError) as err:
