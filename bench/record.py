@@ -1,0 +1,89 @@
+"""Record one point of the performance trajectory in BENCH_<pr>.json.
+
+    python3 bench/record.py <pr-number>
+
+Run from the root of a source checkout. It runs the benchmark declared in
+`BENCHMARK.json` once per workload (seed 1, the declared `run_seconds`,
+untraced) and then the tier-1 test command, and writes `BENCH_<pr>.json`
+at the root: each workload's end-to-end metrics with `correct`,
+`attempted` and `failed`, the tier-1 wall time and outcome, the Python
+version, the CPU count and the git SHA of the checkout. Standard library
+only; nothing under `perfbench/` is changed.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import platform
+import subprocess
+import sys
+import time
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SEED = 1
+TIER1 = [sys.executable, "-m", "pytest", "-q", "--continue-on-collection-errors"]
+
+
+def _git(*args: str) -> str:
+    return subprocess.run(
+        ["git", *args], cwd=ROOT, capture_output=True, text=True, check=True
+    ).stdout.strip()
+
+
+def run_workload(command: list[str], workload: str, seconds: float) -> dict:
+    argv = [*command, "--workload", workload, "--seed", str(SEED),
+            "--seconds", str(seconds), "--trace", "0"]
+    done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True)
+    result = json.loads(done.stdout.splitlines()[-1])
+    return {
+        "correct": result["correct"],
+        "attempted": result["attempted"],
+        "failed": result["failed"],
+        "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+    }
+
+
+def run_tier1() -> dict:
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
+    start = time.perf_counter()
+    done = subprocess.run(TIER1, cwd=ROOT, env=env, capture_output=True, text=True)
+    wall = time.perf_counter() - start
+    lines = done.stdout.strip().splitlines()
+    return {"wall_s": wall, "exit_code": done.returncode, "summary": lines[-1] if lines else ""}
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1 or not argv[0].isdigit():
+        print("usage: python3 bench/record.py <pr-number>", file=sys.stderr)
+        return 2
+    with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
+        spec = json.load(handle)
+    seconds = spec["run_seconds"]
+    record = {
+        "pr": int(argv[0]),
+        "git_sha": _git("rev-parse", "HEAD"),
+        "git_dirty": bool(_git("status", "--porcelain", "--untracked-files=no")),
+        "python": platform.python_version(),
+        "nproc": os.cpu_count(),
+        "seed": SEED,
+        "run_seconds": seconds,
+        "workloads": {},
+    }
+    for workload in spec["workloads"]:
+        name = workload["name"]
+        print(f"bench: {name} ...", file=sys.stderr, flush=True)
+        record["workloads"][name] = run_workload(spec["command"], name, seconds)
+    print("bench: tier-1 tests ...", file=sys.stderr, flush=True)
+    record["tier1"] = run_tier1()
+    path = os.path.join(ROOT, f"BENCH_{argv[0]}.json")
+    with open(path, "w", encoding="utf-8") as handle:
+        json.dump(record, handle, indent=1)
+        handle.write("\n")
+    print(path)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

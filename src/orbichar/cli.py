@@ -13,6 +13,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from pathlib import Path
 
 from .classify import (
     InsufficientData,
@@ -93,21 +94,26 @@ def parse_gamma_spec(spec: str) -> GammaDescriptor:
         raise GammaSupportError(str(exc)) from exc
 
 
+def _parse_json(text: str):
+    try:  # nesting too deep for the decoder is malformed input, not a crash
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError("JSON document is nested too deeply") from None
+
+
 def load_signature(text: str) -> OrbifoldSignature:
     """Accept a file path, inline JSON, or the Sigma_g(...) sugar."""
     if os.path.exists(text):
-        with open(text, encoding="utf-8") as handle:
-            return OrbifoldSignature.from_json(json.load(handle))
+        return OrbifoldSignature.from_json(_parse_json(Path(text).read_text(encoding="utf-8")))
     stripped = text.strip()
     if stripped.startswith("{"):
-        return OrbifoldSignature.from_json(json.loads(stripped))
+        return OrbifoldSignature.from_json(_parse_json(stripped))
     return parse_signature(stripped)
 
 
 def load_group(text: str) -> FiniteGroup:
     if os.path.exists(text):
-        with open(text, encoding="utf-8") as handle:
-            return FiniteGroup.from_json(json.load(handle))
+        return FiniteGroup.from_json(_parse_json(Path(text).read_text(encoding="utf-8")))
     return group_by_name(text)
 
 
@@ -202,8 +208,7 @@ def cmd_search(args) -> int:
 
 def cmd_quotient(args) -> int:
     group = load_group(args.group)
-    with open(args.fpc, encoding="utf-8") as handle:
-        fixed = FixedPointCharacter.from_json(json.load(handle))
+    fixed = FixedPointCharacter.from_json(_parse_json(Path(args.fpc).read_text(encoding="utf-8")))
     value = chi_gamma_quotient(group, fixed, parse_gamma_spec(args.gamma))
     if args.json:
         _print_json({"value": format_rational(value)})

@@ -433,10 +433,8 @@ class MirroredCylinder:
 def chi_es_mirrored(mc: MirroredCylinder) -> Fraction:
     """Euler-Satake characteristic of a mirrored cylinder.
 
-    chi_top of the cylinder is 0, and each corner of order n contributes a
-    deficit of (1 - 1/n)/2, so the value is -(1/2) * sum(1 - 1/n).
+    chi_top of the cylinder is 0 and each corner of order n contributes a
+    deficit of (1 - 1/n)/2: half the value of the orientable double, the
+    torus with one cone point of order n per corner.
     """
-    total = Fraction(0)
-    for n in mc.corner_orders:
-        total -= Fraction(1, 2) * (1 - Fraction(1, n))
-    return total
+    return chi_es(OrbifoldSignature.from_orders(1, *mc.corner_orders)) / 2

@@ -9,7 +9,8 @@ subgroup, which is all the sector sum needs.
 
 This module doubles as an independent oracle for the closed-form
 characteristics in `core`: the two are compared in the test suite on
-rotation actions on the sphere.
+rotation actions on the sphere.  Mirrored cylinders use the closed form of
+their orientable double instead; their dihedral class sums are a test oracle.
 """
 
 from __future__ import annotations
@@ -25,9 +26,9 @@ from .core import (
     FreeGroup,
     GammaDescriptor,
     MirroredCylinder,
+    OrbifoldSignature,
     Presented,
-    abelianize,
-    chi_es_mirrored,
+    chi_gamma,
     parse_word,
 )
 
@@ -221,8 +222,8 @@ def enumerate_homs(
     Free generators can map anywhere; abelian descriptors require pairwise
     commuting images and kill generator torsion; finite presentations are
     checked relator by relator against the table.  The search space
-    |G|**generators is capped by the budget (parameter,
-    ORBICHAR_HOM_BUDGET, or 10**7).
+    |G|**generators and the number of generators are capped by the budget
+    (parameter, ORBICHAR_HOM_BUDGET, or 10**7).
     """
     if isinstance(gamma, Presented):
         n_gens = len(gamma.generators)
@@ -233,9 +234,12 @@ def enumerate_homs(
     else:
         raise TypeError(f"unsupported group descriptor: {gamma!r}")
     cap = budget if budget is not None else int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_HOM_BUDGET))
-    if group.order**n_gens > cap:
+    # Each tuple has n_gens entries; past cap.bit_length() generators any group
+    # of order >= 2 is over budget too, since 2**cap.bit_length() > cap.
+    if n_gens > cap or group.order ** min(n_gens, cap.bit_length()) > cap:
         raise HomBudgetExceeded(
-            f"{group.order}**{n_gens} image tuples exceed the budget of {cap}"
+            f"homs on {n_gens} generators into a group of order {group.order} "
+            f"exceed the budget of {cap}"
         )
     if n_gens == 0:
         return [()]
@@ -307,6 +311,7 @@ def _partition(homs: list[tuple[int, ...]], group: FiniteGroup) -> list[HomClass
     # Conjugation maps homs to homs, so the first unseen hom in sorted order
     # is the least member of its class.
     seen: set[tuple[int, ...]] = set()
+    images: dict[frozenset[int], frozenset[int]] = {}  # equal closures share one set
     classes = []
     for rep in sorted(homs):
         if rep in seen:
@@ -321,12 +326,13 @@ def _partition(homs: list[tuple[int, ...]], group: FiniteGroup) -> list[HomClass
         if len(orbit) * stabilizer != group.order:
             raise RuntimeError("orbit-stabilizer mismatch in conjugacy computation")
         seen |= orbit
+        image = group.subgroup_closure(rep)
         classes.append(
             HomClass(
                 representative=rep,
                 size=len(orbit),
                 centralizer_order=stabilizer,
-                image=group.subgroup_closure(rep),
+                image=images.setdefault(image, image),
             )
         )
     return classes
@@ -459,28 +465,18 @@ def rotation_kernel(n: int, step: int) -> frozenset[int]:
 # Sector sums for mirrored cylinders
 # ---------------------------------------------------------------------------
 
-def chi_gamma_mirrored(
-    mc: MirroredCylinder, gamma: GammaDescriptor, budget: int | None = None
-) -> Fraction:
-    """Characteristic of the sectors of a mirrored cylinder.
+def chi_gamma_mirrored(mc: MirroredCylinder, gamma: GammaDescriptor) -> Fraction:
+    """Characteristic of the sectors of a mirrored cylinder: half the value
+    of its orientable double, the torus with one cone point per corner.
 
-    Beyond the identity sector, only homomorphism classes landing inside a
-    corner's rotation subgroup contribute: each is a point sector weighted
-    by the centralizer, which for an odd corner order n is the full
-    rotation subgroup, giving 1/n.  Classes whose image contains a
-    reflection correspond to circle sectors of Euler characteristic zero
-    and contribute nothing; this inventory is the model assumption behind
+    Beyond the identity sector, only classes of homs into a corner's D_n
+    with image in the rotations Z/n contribute, each a point sector of
+    weight 1/centralizer.  For odd n a reflection pairs each nontrivial
+    hom with its inverse and the centralizer is Z/n, so the corner adds
+    (|Hom(gamma, Z/n)| - 1)/(2n), plus -(1 - 1/n)/2 from chi_es_mirrored:
+    (|Hom(gamma, Z/n)|/n - 1)/2 in all, half a cone point of the double.
+    Classes whose image holds a reflection are circle sectors of Euler
+    characteristic zero; this inventory is the model assumption behind
     restricting corner orders to odd values.
     """
-    ab = abelianize(gamma)
-    total = chi_es_mirrored(mc)
-    for n in mc.corner_orders:
-        group = dihedral_group(n)
-        for cls in hom_classes(ab, group, budget):
-            if len(cls.image) > 1 and all(index < n for index in cls.image):
-                if cls.centralizer_order != n:
-                    raise RuntimeError(
-                        "rotation-image class with unexpected centralizer"
-                    )
-                total += Fraction(1, cls.centralizer_order)
-    return total
+    return chi_gamma(OrbifoldSignature.from_orders(1, *mc.corner_orders), gamma) / 2

@@ -3,6 +3,7 @@
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -287,24 +288,47 @@ _JSON = st.recursive(
 )
 
 
-@pytest.mark.parametrize("source", ["inline-sig", "sig-file", "group-file", "fpc-file"])
-@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(document=_JSON)
-def test_json_documents_exit_cleanly(run, tmp_path, source, document):
-    text = json.dumps(document)
+def _document_argv(tmp_path, source, text):
+    """argv that hands the JSON text to one of the four document loaders."""
     path = tmp_path / "doc.json"
     path.write_text(text)
     fpc = tmp_path / "fpc.json"
     fpc.write_text('[{"subgroup":[0],"chi":2}]')
-    argv = {
+    return {
         "inline-sig": ["chi", f"--sig={text}"],
         "sig-file": ["chi", f"--sig={path}"],
         "group-file": ["quotient", f"--group={path}", f"--fpc={fpc}", "--gamma=Z"],
         "fpc-file": ["quotient", "--group=C3", f"--fpc={path}", "--gamma=Z"],
     }[source]
-    code, _, err = run(*argv)
+
+
+@pytest.mark.parametrize("source", ["inline-sig", "sig-file", "group-file", "fpc-file"])
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(document=_JSON)
+def test_json_documents_exit_cleanly(run, tmp_path, source, document):
+    code, _, err = run(*_document_argv(tmp_path, source, json.dumps(document)))
     assert code in (0, 2, 3)
     assert code == 0 or (err.startswith("error:") and err.count("\n") == 1)
+
+
+@pytest.mark.parametrize("source", ["inline-sig", "sig-file", "group-file", "fpc-file"])
+def test_deeply_nested_json_exits_2(run, tmp_path, source):
+    # deeper than the decoder's recursion limit; inline JSON must be an object
+    text = '{"genus":' + "[" * 200_000 + "]" * 200_000 + "}"
+    code, out, err = run(*_document_argv(tmp_path, source, text))
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("group", ["C3", "C1"])
+def test_quotient_huge_rank_exits_3_at_once(run, tmp_path, group):
+    fpc = tmp_path / "fpc.json"
+    fpc.write_text('[{"subgroup":[0],"chi":2}]')
+    start = time.perf_counter()
+    code, out, err = run("quotient", "--group", group, "--fpc", str(fpc), "--gamma", "Z^1000000000")
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

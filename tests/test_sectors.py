@@ -1,6 +1,10 @@
 """Finite groups, hom enumeration, conjugacy, and sector sums."""
 
+import time
+import tracemalloc
 from fractions import Fraction
+from functools import cache
+from itertools import combinations_with_replacement
 
 import pytest
 
@@ -14,6 +18,7 @@ from orbichar import (
     MirroredCylinder,
     OrbifoldSignature,
     Presented,
+    abelianize,
     chi_es_mirrored,
     chi_gamma,
     chi_gamma_mirrored,
@@ -165,6 +170,17 @@ def test_hom_budget_env_override(monkeypatch):
         enumerate_homs(FgAbelian(2), cyclic_group(6))
 
 
+@pytest.mark.parametrize("gamma", [FgAbelian(10**9), FreeGroup(10**9)])
+@pytest.mark.parametrize("order", [3, 1])
+def test_hom_budget_refuses_huge_rank_at_once(gamma, order):
+    # C1 has a single image tuple, but its length alone is over the budget
+    group = cyclic_group(order)
+    start = time.perf_counter()
+    with pytest.raises(HomBudgetExceeded):
+        enumerate_homs(gamma, group)
+    assert time.perf_counter() - start < 1
+
+
 # ---------------------------------------------------------------------------
 # conjugacy classes
 # ---------------------------------------------------------------------------
@@ -202,6 +218,19 @@ def test_class_equation():
             assert all(cls.representative == min(orbit) for cls, orbit in zip(classes, orbits))
             reps = [cls.representative for cls in classes]
             assert all(a < b for a, b in zip(reps, reps[1:]))
+
+
+def test_classes_share_equal_images():
+    classes = hom_classes(FgAbelian(2), cyclic_group(12))
+    assert len({id(cls.image) for cls in classes}) == len({cls.image for cls in classes}) == 6
+    action = rotation_sphere_action(60, 1)
+    tracemalloc.start()
+    try:
+        chi_gamma_quotient(*action, FgAbelian(2))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 # ---------------------------------------------------------------------------
@@ -347,6 +376,25 @@ def test_mirrored_depends_only_on_corner_multiset():
     assert values == {Fraction(11)}
 
 
+@cache
+def _corner_by_dihedral_classes(n: int, gamma: FgAbelian) -> Fraction:
+    """One corner's share of the sector sum, from the hom classes into D_n:
+    the deficit -(1 - 1/n)/2 plus 1/centralizer for each nontrivial class
+    whose image lies in the rotation subgroup (indices below n)."""
+    total = -Fraction(n - 1, 2 * n)
+    for cls in hom_classes(gamma, dihedral_group(n)):
+        if len(cls.image) > 1 and all(index < n for index in cls.image):
+            assert cls.centralizer_order == n
+            total += Fraction(1, cls.centralizer_order)
+    return total
+
+
+def mirrored_by_dihedral_classes(mc, gamma) -> Fraction:
+    """Oracle for chi_gamma_mirrored: the class sums over each corner."""
+    ab = abelianize(gamma)
+    return sum((_corner_by_dihedral_classes(n, ab) for n in mc.corner_orders), Fraction(0))
+
+
 def test_mirrored_rotation_classes_match_cyclic_hom_count():
     # per corner of order n the nontrivial rotation-image classes pair up
     # homs with their inverses: (|HOM(gamma, Z/n)| - 1) / 2 classes, 1/n each
@@ -355,7 +403,28 @@ def test_mirrored_rotation_classes_match_cyclic_hom_count():
         expected = chi_es_mirrored(cylinder) + Fraction(
             hom_count_cyclic(gamma, 5) - 1, 2 * 5
         )
-        assert chi_gamma_mirrored(cylinder, gamma) == expected
+        assert mirrored_by_dihedral_classes(cylinder, gamma) == expected
+
+
+@pytest.mark.parametrize(
+    "gamma",
+    MIRROR_BATTERY + (FreeGroup(2), Presented(("x", "y"), ("x^6", "x^2 y^3", "x y x^-1 y^-1"))),
+)
+def test_mirrored_closed_form_matches_dihedral_classes(gamma):
+    for size in range(4):
+        for corners in combinations_with_replacement(range(3, 16, 2), size):
+            cylinder = MirroredCylinder(corners[:1], corners[1:])
+            assert chi_gamma_mirrored(cylinder, gamma) == mirrored_by_dihedral_classes(
+                cylinder, gamma
+            )
+
+
+def test_mirrored_needs_no_hom_enumeration(monkeypatch):
+    monkeypatch.setenv("ORBICHAR_HOM_BUDGET", "1")
+    gamma = FgAbelian(5)
+    # (|HOM(gamma, Z/61)| / 61 - 1) / 2 for the one corner
+    expected = (Fraction(hom_count_cyclic(gamma, 61), 61) - 1) / 2
+    assert chi_gamma_mirrored(MirroredCylinder((61,), ()), gamma) == expected
 
 
 def test_mirrored_free_group_uses_abelianization():
