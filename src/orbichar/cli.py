@@ -73,7 +73,7 @@ def parse_gamma_spec(spec: str) -> GammaDescriptor:
         return FgAbelian(0, ())
     if spec.startswith("F_"):
         tail = spec[2:]
-        if not tail.isdigit():
+        if not tail.isdecimal():
             raise GammaSupportError(f"bad free-group spec {spec!r}")
         return FreeGroup(int(tail))
     rank = 0
@@ -82,9 +82,9 @@ def parse_gamma_spec(spec: str) -> GammaDescriptor:
         part = part.strip()
         if part == "Z":
             rank += 1
-        elif part.startswith("Z^") and part[2:].isdigit():
+        elif part.startswith("Z^") and part[2:].isdecimal():
             rank += int(part[2:])
-        elif part.startswith("Z/") and part[2:].isdigit():
+        elif part.startswith("Z/") and part[2:].isdecimal():
             torsion.append(int(part[2:]))
         else:
             raise GammaSupportError(f"bad group spec component {part!r}")

@@ -18,7 +18,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
 from math import gcd
 
 from .core import (
@@ -194,9 +193,9 @@ def group_by_name(name: str) -> FiniteGroup:
     factors = []
     for part in name.split("x"):
         part = part.strip()
-        if part.startswith("C") and part[1:].isdigit():
+        if part.startswith("C") and part[1:].isdecimal():
             factors.append(cyclic_group(int(part[1:])))
-        elif part.startswith("D") and part[1:].isdigit():
+        elif part.startswith("D") and part[1:].isdecimal():
             order = int(part[1:])
             if order % 2 != 0 or order < 2:
                 raise ValueError(f"dihedral group order must be even, got {part!r}")
@@ -219,11 +218,12 @@ def enumerate_homs(
     """All homomorphisms from the described group into the finite group,
     as tuples of generator images.
 
-    Free generators can map anywhere; abelian descriptors require pairwise
-    commuting images and kill generator torsion; finite presentations are
-    checked relator by relator against the table.  The search space
-    |G|**generators and the number of generators are capped by the budget
-    (parameter, ORBICHAR_HOM_BUDGET, or 10**7).
+    Images are chosen one generator at a time and a prefix is dropped once
+    it fails: abelian descriptors need each image to commute with the ones
+    before it (and x**d = e at a torsion generator of order d); a relator is
+    checked as soon as its highest generator has an image.  Homs come in
+    lexicographic order.  The search space |G|**generators and the number of
+    generators are capped by the budget (parameter, ORBICHAR_HOM_BUDGET, or 10**7).
     """
     if isinstance(gamma, Presented):
         n_gens = len(gamma.generators)
@@ -241,47 +241,37 @@ def enumerate_homs(
             f"homs on {n_gens} generators into a group of order {group.order} "
             f"exceed the budget of {cap}"
         )
-    if n_gens == 0:
-        return [()]
-
-    if isinstance(gamma, FreeGroup):
-        return list(product(range(group.order), repeat=n_gens))
-
-    if isinstance(gamma, Presented):
-        relators = [parse_word(w, gamma.generators) for w in gamma.relators]
-        homs = []
-        for images in product(range(group.order), repeat=n_gens):
-            ok = True
-            for word in relators:
-                value = group.identity
-                for index, exp in word:
-                    value = group.mul(value, group.power(images[index], exp))
-                if value != group.identity:
-                    ok = False
-                    break
-            if ok:
-                homs.append(images)
-        return homs
-
-    candidates = [tuple(range(group.order))] * gamma.rank
-    for torsion in gamma.torsion:
-        candidates.append(
-            tuple(x for x in range(group.order) if group.power(x, torsion) == group.identity)
+    if group.order == 1:  # any rank up to the budget; a prefix search is quadratic in it
+        return [(group.identity,) * n_gens]
+    table, identity, elements = group.table, group.identity, range(group.order)
+    abelian = isinstance(gamma, FgAbelian)
+    candidates = [elements] * n_gens
+    if abelian:
+        candidates[gamma.rank:] = (
+            [x for x in elements if group.power(x, d) == identity] for d in gamma.torsion
         )
-
-    homs: list[tuple[int, ...]] = []
-
-    def extend(prefix: tuple[int, ...]):
-        position = len(prefix)
-        if position == n_gens:
-            homs.append(prefix)
-            return
-        for x in candidates[position]:
-            if all(group.mul(x, y) == group.mul(y, x) for y in prefix):
-                extend(prefix + (x,))
-
-    extend(())
+    relators_at = [[] for _ in range(n_gens)]
+    if isinstance(gamma, Presented):
+        for text in gamma.relators:
+            word = parse_word(text, gamma.generators)
+            relators_at[max(index for index, _ in word)].append(word)
+    homs = [()]
+    for options, words in zip(candidates, relators_at):
+        homs = [
+            prefix + (x,)
+            for prefix in homs
+            for x in options
+            if (not abelian or all(table[x][y] == table[y][x] for y in prefix))
+            and (not words or all(_evaluate(group, w, prefix + (x,)) == identity for w in words))
+        ]
     return homs
+
+
+def _evaluate(group: FiniteGroup, word, images: tuple[int, ...]) -> int:
+    value = group.identity
+    for index, exp in word:
+        value = group.table[value][group.power(images[index], exp)]
+    return value
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,13 @@ import json
 import subprocess
 import sys
 import time
+from functools import cache
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orbichar.cli import main
+from orbichar.sectors import group_by_name
 
 
 @pytest.fixture
@@ -329,6 +331,101 @@ def test_quotient_huge_rank_exits_3_at_once(run, tmp_path, group):
     assert time.perf_counter() - start < 1
     assert (code, out) == (3, "")
     assert err.startswith("error:") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("gamma", ["Z^5000", "F_5000"])
+def test_quotient_trivial_group_takes_any_rank_in_budget(run, tmp_path, gamma):
+    fpc = tmp_path / "fpc.json"
+    fpc.write_text('[{"subgroup":[0],"chi":2}]')
+    code, out, err = run("quotient", "--group", "C1", "--fpc", str(fpc), "--gamma", gamma)
+    assert (code, out, err) == (0, "2\n", "")
+
+
+@pytest.mark.parametrize(
+    "option, value, code, message",
+    [
+        ("--gamma", "Z^²", 3, "bad group spec component"),
+        ("--gamma", "Z/²", 3, "bad group spec component"),
+        ("--gamma", "F_²", 3, "bad free-group spec"),
+        ("--gamma", "Z+Z^³", 3, "bad group spec component"),
+        ("--group", "C²", 2, "unknown group name"),
+        ("--group", "C2xD²", 2, "unknown group name"),
+    ],
+)
+def test_superscript_digits_are_not_numbers(run, tmp_path, option, value, code, message):
+    fpc = tmp_path / "fpc.json"
+    fpc.write_text('[{"subgroup":[0],"chi":2}]')
+    argv = {"--group": "C3", "--fpc": str(fpc), "--gamma": "Z", option: value}
+    result = run("quotient", *(f"{key}={arg}" for key, arg in argv.items()))
+    assert result[:2] == (code, "")
+    assert result[2].startswith(f"error: {message}") and result[2].count("\n") == 1
+
+
+_FACTOR_ORDERS = {f"C{n}": n for n in range(1, 61)} | {f"D{n}": n for n in range(2, 61, 2)}
+
+
+@st.composite
+def _group_names(draw):
+    """Builtin names of order at most 60: table building is not budgeted."""
+    factors, order = [], 1
+    for _ in range(draw(st.integers(1, 3))):
+        name = draw(st.sampled_from([f for f, o in _FACTOR_ORDERS.items() if order * o <= 60]))
+        factors.append(name)
+        order *= _FACTOR_ORDERS[name]
+    return "x".join(factors)
+
+
+@cache
+def _all_subgroups_fpc(name):
+    """Fixed-point data with chi 2 on every subgroup of a builtin group."""
+    group = group_by_name(name)
+    found = {frozenset({group.identity}): ()}
+    frontier = list(found.items())
+    while frontier:
+        grown = []
+        for subgroup, gens in frontier:
+            for x in range(group.order):
+                if x not in subgroup:
+                    more = gens + (x,)
+                    bigger = group.subgroup_closure(more)
+                    if bigger not in found:
+                        found[bigger] = more
+                        grown.append((bigger, more))
+        frontier = grown
+    return json.dumps([{"subgroup": sorted(s), "chi": 2} for s in found])
+
+
+_SIZES = st.integers(0, 12) | st.integers(0, 10**12)
+_COMPONENTS = st.just("Z") | _SIZES.map("Z^{}".format) | _SIZES.map("Z/{}".format)
+_GAMMAS = (
+    st.lists(_COMPONENTS, min_size=1, max_size=4).map("+".join)
+    | _SIZES.map("F_{}".format)
+    | st.just("trivial")
+    | st.text(alphabet="ZF^/_+ x0123²³١٢߂", max_size=8)
+    | st.text(max_size=8)
+)
+_JUNK_GROUPS = st.sampled_from(["C²", "D²", "C2x²", "C0", "D0", "D3", "C-1", "", "x", "C2x"]) | (
+    st.text(max_size=6).filter(lambda text: not any(ch.isdecimal() for ch in text))
+)
+
+
+@settings(deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(group=_group_names() | _JUNK_GROUPS, gamma=_GAMMAS)
+def test_quotient_any_gamma_and_group_exits_cleanly(run, tmp_path, monkeypatch, group, gamma):
+    monkeypatch.setenv("ORBICHAR_HOM_BUDGET", "10000")
+    fpc = tmp_path / "fpc.json"
+    try:
+        fpc.write_text(_all_subgroups_fpc(group))
+    except ValueError:  # junk name: the group loader refuses it first
+        fpc.write_text('[{"subgroup":[0],"chi":2}]')
+    start = time.perf_counter()
+    code, out, err = run("quotient", f"--group={group}", f"--fpc={fpc}", f"--gamma={gamma}")
+    assert time.perf_counter() - start < 5
+    assert code in (0, 2, 3, 4)
+    if code == 0:
+        assert err == "" and out.count("\n") == 1
+    else:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
 
 
 @pytest.mark.parametrize(

@@ -4,7 +4,7 @@ import time
 import tracemalloc
 from fractions import Fraction
 from functools import cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -34,6 +34,7 @@ from orbichar import (
     rotation_kernel,
     rotation_sphere_action,
 )
+from orbichar.core import parse_word
 
 BATTERY = (
     FgAbelian(0),
@@ -178,6 +179,65 @@ def test_hom_budget_refuses_huge_rank_at_once(gamma, order):
     start = time.perf_counter()
     with pytest.raises(HomBudgetExceeded):
         enumerate_homs(gamma, group)
+    assert time.perf_counter() - start < 1
+
+
+def brute_force_homs(gamma, group):
+    """Every image tuple that satisfies the defining relations, in product order."""
+    table = group.table
+
+    def power(x, exp):
+        out = group.identity
+        for _ in range(abs(exp)):
+            out = table[out][x if exp > 0 else group.inverse[x]]
+        return out
+
+    def satisfies(images):
+        if isinstance(gamma, FgAbelian):
+            torsion = zip(images[gamma.rank:], gamma.torsion)
+            return all(table[x][y] == table[y][x] for x in images for y in images) and all(
+                power(x, d) == group.identity for x, d in torsion
+            )
+        for text in getattr(gamma, "relators", ()):
+            value = group.identity
+            for index, exp in parse_word(text, gamma.generators):
+                value = table[value][power(images[index], exp)]
+            if value != group.identity:
+                return False
+        return True
+
+    if isinstance(gamma, Presented):
+        n_gens = len(gamma.generators)
+    else:
+        n_gens = gamma.rank + len(getattr(gamma, "torsion", ()))
+    return [images for images in product(range(group.order), repeat=n_gens) if satisfies(images)]
+
+
+@pytest.mark.parametrize("name", ["C1", "C6", "D6", "D8", "C2xC2", "C2xD6"])
+@pytest.mark.parametrize(
+    "gamma",
+    [
+        FgAbelian(0),
+        FgAbelian(3),
+        FgAbelian(0, (2, 6)),
+        FgAbelian(1, (4,)),
+        FreeGroup(0),
+        FreeGroup(1),
+        FreeGroup(2),
+        FreeGroup(3),
+        Presented(("x", "y")),
+        Presented(("x", "y", "z"), ("x^2", "x y^3")),  # no relator reaches z
+        Presented(("x", "y"), ("x^6", "x^2 y^3", "x y x^-1 y^-1")),
+    ],
+)
+def test_enumerate_homs_matches_brute_force(gamma, name):
+    group = group_by_name(name)
+    assert enumerate_homs(gamma, group) == brute_force_homs(gamma, group)
+
+
+def test_trivial_group_admits_huge_rank():
+    start = time.perf_counter()
+    assert enumerate_homs(FgAbelian(10**6), cyclic_group(1)) == [(0,) * 10**6]
     assert time.perf_counter() - start < 1
 
 
