@@ -6,7 +6,8 @@ Run from the root of a source checkout. It runs the benchmark declared in
 `BENCHMARK.json` once per workload (seed 1, the declared `run_seconds`,
 untraced) and then the tier-1 test command, and writes `BENCH_<pr>.json`
 at the root: each workload's end-to-end metrics with `correct`,
-`attempted` and `failed`, the tier-1 wall time and outcome, the Python
+`attempted`, `failed`, and the percentile and sample count behind
+`latency_tail_ms`; the tier-1 wall time and outcome, the Python
 version, the CPU count and the git SHA of the checkout. Standard library
 only; nothing under `perfbench/` is changed.
 """
@@ -35,12 +36,16 @@ def run_workload(command: list[str], workload: str, seconds: float) -> dict:
     argv = [*command, "--workload", workload, "--seed", str(SEED),
             "--seconds", str(seconds), "--trace", "0"]
     done = subprocess.run(argv, cwd=ROOT, capture_output=True, text=True, check=True)
-    result = json.loads(done.stdout.splitlines()[-1])
+    *_, report_line, result_line = done.stdout.splitlines()
+    latency = json.loads(report_line)["report"]["latency"]
+    result = json.loads(result_line)
     return {
         "correct": result["correct"],
         "attempted": result["attempted"],
         "failed": result["failed"],
         "metrics": {name: m["value"] for name, m in result["metrics"].items()},
+        "tail_percentile": latency["tail_percentile"],
+        "samples": latency["samples"],
     }
 
 

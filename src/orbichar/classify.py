@@ -207,9 +207,6 @@ def reconstruct(values: Sequence[Fraction | int]) -> ReconstructResult:
 # Finite enumeration of a given Euler-Satake characteristic
 # ---------------------------------------------------------------------------
 
-_SCAN_LIMIT = 1 << 16
-
-
 def _factorize(n: int) -> dict[int, int]:
     factors: dict[int, int] = {}
     for p in (2, 3):
@@ -229,31 +226,27 @@ def _factorize(n: int) -> dict[int, int]:
 
 
 def _iter_final_pairs(p: int, q: int, lo: int) -> Iterator[tuple[int, int]]:
-    """Ordered pairs lo <= m1 <= m2 with 1/m1 + 1/m2 == p/q exactly.
+    """Ordered pairs lo <= m1 <= m2 with 1/m1 + 1/m2 == p/q, p/q in lowest terms.
 
-    Writes (p*m1 - q)(p*m2 - q) = q*q and walks divisors d <= q of q*q with
-    d == -q mod p; used instead of a linear scan when the scan range q/p is
-    large (near-exhausted sums produce ranges in the millions).
+    With d = p*m1 - q the equation reads d * (p*m2 - q) == q*q, so the pairs
+    are exactly the divisors d <= q of q*q with d == -q mod p, giving
+    m1 = (d + q)/p and m2 = (q*q/d + q)/p, in ascending d.  The candidates
+    are listed whichever way is cheaper: a stride-p scan of the residue
+    class costs q/p steps, factoring q by trial division about sqrt(q), so
+    the scan runs while q/p <= 64 or (q/p)**2 <= 16*q and the divisors of
+    q*q are built otherwise (near-exhausted sums give q/p in the millions).
     """
-    if q // p <= _SCAN_LIMIT:
-        m1 = max(lo, -(-q // p))
-        for m in range(m1, 2 * q // p + 1):
-            num, den = p * m - q, q * m
-            if num > 0 and den % num == 0:
-                yield m, den // num
-        return
-    divisors = [1]
-    for prime, exp in _factorize(q).items():
-        divisors = [d * prime**e for d in divisors for e in range(2 * exp + 1)]
-    for d in sorted(divisors):
-        if d > q:
-            break
-        if (d + q) % p != 0:
-            continue
-        m1 = (d + q) // p
-        if m1 < lo:
-            continue
-        yield m1, (q * q // d + q) // p
+    qq = q * q
+    start = max(1, lo * p - q)  # m1 >= lo
+    if q <= 64 * p or q <= 16 * p * p:
+        divisors = [d for d in range(start + (-q - start) % p, q + 1, p) if qq % d == 0]
+    else:
+        divisors = [1]
+        for prime, exp in _factorize(q).items():
+            divisors = [d * prime**e for d in divisors for e in range(2 * exp + 1)]
+        divisors = sorted(d for d in divisors if start <= d <= q and (d + q) % p == 0)
+    for d in divisors:
+        yield (d + q) // p, (qq // d + q) // p
 
 
 def _iter_order_tuples(k: int, p: int, q: int, lo: int) -> Iterator[tuple[int, ...]]:
@@ -276,6 +269,17 @@ def _iter_order_tuples(k: int, p: int, q: int, lo: int) -> Iterator[tuple[int, .
             yield (m,) + rest
 
 
+def _runs(orders: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
+    """Run-length (order, count) pairs of a nondecreasing order tuple."""
+    cones: list[tuple[int, int]] = []
+    for m in orders:
+        if cones and cones[-1][0] == m:
+            cones[-1] = (m, cones[-1][1] + 1)
+        else:
+            cones.append((m, 1))
+    return tuple(cones)
+
+
 def iter_signatures_by_chi_es(target: Fraction | int) -> Iterator[OrbifoldSignature]:
     """All signatures with the given Euler-Satake characteristic, streamed in
     canonical order (genus, cone count, order tuple).
@@ -284,6 +288,8 @@ def iter_signatures_by_chi_es(target: Fraction | int) -> Iterator[OrbifoldSignat
     by 2 - 2g >= target, then the cone count, then each order in turn
     through the exact remaining-sum window.
     """
+    if isinstance(target, bool) or not isinstance(target, (int, Fraction)):
+        raise ValueError(f"target must be an int or Fraction, got {target!r}")
     target = Fraction(target)
     genus = 0
     while Fraction(2 - 2 * genus) >= target:
@@ -292,12 +298,12 @@ def iter_signatures_by_chi_es(target: Fraction | int) -> Iterator[OrbifoldSignat
             need = target - (2 - 2 * genus - k)  # required sum of 1/order
             if k == 0:
                 if need == 0:
-                    yield OrbifoldSignature(genus)
+                    yield OrbifoldSignature._trusted(genus, ())
                 continue
             if need <= 0 or 2 * need > k:
                 continue
             for orders in _iter_order_tuples(k, need.numerator, need.denominator, 2):
-                yield OrbifoldSignature.from_orders(genus, *orders)
+                yield OrbifoldSignature._trusted(genus, _runs(orders))
         genus += 1
 
 

@@ -122,6 +122,15 @@ def _print_json(payload) -> None:
     sys.stdout.write("\n")
 
 
+def _signature_line(sig: OrbifoldSignature) -> str:
+    """``json.dumps(sig.to_json(), separators=(",", ":"))``, formatted
+    directly: the pure-Python chunked encoder dominated enumerate output."""
+    cones = ",".join(
+        f'{{"order":{order},"count":"{count}"}}' for order, count in sig.cones
+    )
+    return f'{{"genus":{sig.genus},"cones":[{cones}]}}'
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -187,8 +196,9 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_enumerate(args) -> int:
     target = parse_rational(args.chi_es)
+    write = sys.stdout.write
     for sig in iter_signatures_by_chi_es(target):
-        _print_json(sig.to_json())
+        write(_signature_line(sig) + "\n")
     return EXIT_OK
 
 

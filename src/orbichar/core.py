@@ -82,6 +82,16 @@ class OrbifoldSignature:
         """Build a signature from a flat list of cone orders."""
         return cls(genus, [(m, 1) for m in orders])
 
+    @classmethod
+    def _trusted(cls, genus: int, cones: tuple[tuple[int, int], ...]) -> "OrbifoldSignature":
+        """Store already-canonical fields unchecked: a nonnegative int genus
+        and a sorted run-length tuple of distinct orders >= 2 with counts
+        >= 1.  For internally generated values only."""
+        sig = object.__new__(cls)
+        object.__setattr__(sig, "genus", genus)
+        object.__setattr__(sig, "cones", cones)
+        return sig
+
     @property
     def cone_count(self) -> int:
         """Total number of cone points, counted with multiplicity."""

@@ -243,6 +243,15 @@ def test_enumerate_finds_large_orders():
     assert sig(0, 3, 7, 42) in exact
 
 
+@pytest.mark.parametrize("target", [True, False, 1.0, -0.5, "1", None, [1]])
+def test_enumerate_rejects_targets_that_are_not_rationals(target):
+    # True used to enumerate as 1 and floats were converted silently
+    with pytest.raises(ValueError):
+        enumerate_by_chi_es(target)
+    with pytest.raises(ValueError):
+        next(iter_signatures_by_chi_es(target))
+
+
 def test_iterator_is_streaming_and_ordered():
     from itertools import islice
 
@@ -250,26 +259,85 @@ def test_iterator_is_streaming_and_ordered():
     assert first_three == enumerate_by_chi_es(Fraction(-1, 2))[:3]
 
 
+def _scan_final_pairs(p, q, lo):
+    """Oracle: every m1 in the window, kept when 1/m2 = p/q - 1/m1 is a unit fraction."""
+    pairs = []
+    for m1 in range(max(lo, -(-q // p)), 2 * q // p + 1):
+        num, den = p * m1 - q, q * m1
+        if num > 0 and den % num == 0:
+            pairs.append((m1, den // num))
+    return pairs
+
+
+def _scans(p, q):
+    """The cost rule: scan while q/p <= 64 or (q/p)**2 <= 16*q."""
+    span = Fraction(q, p)
+    return span <= 64 or span**2 <= 16 * q
+
+
+@pytest.fixture
+def factorize_calls(monkeypatch):
+    """Count the divisor branch of _iter_final_pairs through its _factorize call."""
+    from orbichar import classify
+
+    calls = []
+    original = classify._factorize
+
+    def spy(n):
+        calls.append(n)
+        return original(n)
+
+    monkeypatch.setattr(classify, "_factorize", spy)
+    return calls
+
+
 @pytest.mark.parametrize(
     "p, q",
     [(1, 200000), (3, 700001), (4, 300003), (7, 1000003)],
 )
-def test_final_pair_divisor_method_matches_scan(p, q):
-    # ranges above the scan limit exercise the divisor method; re-derive the
-    # same pairs with a plain scan
+def test_final_pair_divisor_method_matches_scan(p, q, factorize_calls):
+    # (q/p)**2 > 16*q for all four, so the divisors of q*q list the
+    # candidates; re-derive the same pairs with a plain scan
     from math import gcd as _gcd
 
-    from orbichar.classify import _SCAN_LIMIT, _iter_final_pairs
+    from orbichar.classify import _iter_final_pairs
 
-    assert _gcd(p, q) == 1 and q // p > _SCAN_LIMIT
+    assert _gcd(p, q) == 1 and not _scans(p, q)
     fast = list(_iter_final_pairs(p, q, 2))
-    slow = []
-    for m1 in range(-(-q // p), 2 * q // p + 1):
-        num, den = p * m1 - q, q * m1
-        if num > 0 and den % num == 0:
-            slow.append((m1, den // num))
-    assert fast == slow
+    assert factorize_calls == [q]
+    assert fast == _scan_final_pairs(p, q, 2)
     assert all(m1 <= m2 for m1, m2 in fast)
+
+
+def test_final_pairs_match_scan_on_random_inputs(factorize_calls):
+    # both branches, p | q (p == 1 in lowest terms), lower bounds inside and
+    # above the window, q up to 10**7; spans are capped so that the oracle
+    # scan stays short
+    import random
+    from math import gcd
+
+    from orbichar.classify import _iter_final_pairs
+
+    rng = random.Random(20091)
+    # the boundaries: q/p == 64 for p < 4, and (q/p)**2 == 16*q, reached in
+    # lowest terms only at p == 1, q == 16; beyond, q == 16*p*p +- 1 straddle it
+    cases = [(1, 16, 2), (1, 64, 2), (1, 65, 2), (2, 127, 3), (2, 129, 3), (3, 191, 2), (3, 193, 2)]
+    for p in (4, 5, 7, 13, 31, 101):
+        cases += [(p, 16 * p * p - 1, 2), (p, 16 * p * p + 1, 2)]
+    for _ in range(2000):
+        q = int(10 ** rng.uniform(0, 7))
+        span = int(10 ** rng.uniform(0, min(4.3, len(str(q)) - 1)))
+        p = max(1, q // span + rng.randint(-1, 1))
+        p, q = (1, span) if rng.random() < 0.1 else (p // gcd(p, q), q // gcd(p, q))
+        window = 2 * q // p + 1
+        lo = rng.choice([2, rng.randint(2, window + 1), window + rng.randint(1, 100)])
+        cases.append((p, q, lo))
+    for p, q, lo in cases:
+        factorize_calls.clear()
+        fast = list(_iter_final_pairs(p, q, lo))
+        assert fast == _scan_final_pairs(p, q, lo), (p, q, lo)
+        assert factorize_calls == ([] if _scans(p, q) else [q]), (p, q, lo)
+    assert {_scans(p, q) for p, q, _ in cases} == {True, False}
 
 
 def test_final_pair_divisor_method_respects_lower_bound():

@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output formats and exit codes."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -9,7 +10,8 @@ from functools import cache
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from orbichar.cli import main
+from orbichar.cli import _signature_line, main
+from orbichar.core import OrbifoldSignature
 from orbichar.sectors import group_by_name
 
 
@@ -211,6 +213,24 @@ def test_enumerate_includes_example_pair(run):
         {"genus": 0, "cones": [{"order": 3, "count": "9"}]}, separators=(",", ":")
     )
     assert nine_threes in lines
+    # the whole stream, pinned on the json.dump emission it replaced
+    assert len(lines) == 298338
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "cf31a778f60aa27017db1960a14c311ec01a0dcd31c76b83f9927a026d39fda4"
+    )
+
+
+@pytest.mark.parametrize(
+    "signature",
+    [
+        OrbifoldSignature(7),
+        OrbifoldSignature.from_orders(3, 2, 2, 5, 5, 5, 9),
+        OrbifoldSignature(0, {2**63 + 1: 1, 2**64: 3, 10**30: 2}),
+        OrbifoldSignature(2, {3: 10**100, 4: 10**50 + 7, 11: 1}),
+    ],
+)
+def test_signature_line_matches_json_dumps(signature):
+    assert _signature_line(signature) == json.dumps(signature.to_json(), separators=(",", ":"))
 
 
 def test_search_contains_base_pair_group(run):
