@@ -7,13 +7,15 @@ Run from the root of a source checkout. It runs the benchmark declared in
 untraced) and then the tier-1 test command, and writes `BENCH_<pr>.json`
 at the root: each workload's end-to-end metrics with `correct`,
 `attempted`, `failed`, and the percentile and sample count behind
-`latency_tail_ms`; the tier-1 wall time and outcome, the Python
-version, the CPU count and the git SHA of the checkout. Standard library
-only; nothing under `perfbench/` is changed.
+`latency_tail_ms`; the tier-1 wall time and outcome, the total line
+count of `src/orbichar/*.py` (`src_lines`), the Python version, the CPU
+count and the git SHA of the checkout. Standard library only; nothing
+under `perfbench/` is changed.
 """
 
 from __future__ import annotations
 
+import glob
 import json
 import os
 import platform
@@ -49,6 +51,14 @@ def run_workload(command: list[str], workload: str, seconds: float) -> dict:
     }
 
 
+def src_lines() -> int:
+    total = 0
+    for path in glob.glob(os.path.join(ROOT, "src", "orbichar", "*.py")):
+        with open(path, encoding="utf-8") as handle:
+            total += sum(1 for _ in handle)
+    return total
+
+
 def run_tier1() -> dict:
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, ["src", env.get("PYTHONPATH")]))
@@ -74,6 +84,7 @@ def main(argv: list[str]) -> int:
         "nproc": os.cpu_count(),
         "seed": SEED,
         "run_seconds": seconds,
+        "src_lines": src_lines(),
         "workloads": {},
     }
     for workload in spec["workloads"]:

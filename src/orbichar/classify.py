@@ -24,7 +24,7 @@ class InvalidSequenceError(ValueError):
     """The input is provably not a characteristic sequence of any signature."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InsufficientData:
     """The sequence is consistent with some signature but too short to commit."""
 
@@ -316,7 +316,7 @@ def enumerate_by_chi_es(target: Fraction | int) -> list[OrbifoldSignature]:
 # Brute-force collision search over a bounded window
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CollisionGroup:
     """Signatures sharing one characteristic sequence through a given level."""
 

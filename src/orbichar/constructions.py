@@ -245,8 +245,6 @@ def expand_family(
                 del cones[order]
             else:
                 cones[order] -= shared
-    if not cones_a and not cones_b:
-        raise ValueError("pair members are equal after stripping shared cones")
 
     family = []
     for j in range(1, members + 1):

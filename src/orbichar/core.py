@@ -167,7 +167,7 @@ def parse_signature(text: str) -> OrbifoldSignature:
 # Finitely generated group descriptors
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FreeGroup:
     """Free group on ``rank`` generators."""
 
@@ -178,7 +178,7 @@ class FreeGroup:
             raise ValueError(f"rank must be a nonnegative integer, got {self.rank!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FgAbelian:
     """Z^rank plus finite cyclic factors Z/d for d in ``torsion``.
 
@@ -202,7 +202,7 @@ class FgAbelian:
         object.__setattr__(self, "torsion", torsion)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Presented:
     """Finite presentation: generator names plus relator words.
 
@@ -412,7 +412,7 @@ def is_diffeomorphic(a, b) -> bool:
 # Mirrored cylinders (the one supported non-orientable family)
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MirroredCylinder:
     """Cylinder with mirrored boundary circles carrying corner reflectors.
 

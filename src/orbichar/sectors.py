@@ -16,7 +16,7 @@ their orientable double instead; their dihedral class sums are a test oracle.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
@@ -47,6 +47,7 @@ class FixedPointDataError(KeyError):
 # Finite groups as multiplication tables
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class FiniteGroup:
     """Explicit finite group: elements 0..order-1 with a multiplication table.
 
@@ -54,10 +55,13 @@ class FiniteGroup:
     associativity) and immutable afterwards.
     """
 
-    __slots__ = ("order", "table", "identity", "inverse")
+    table: tuple[tuple[int, ...], ...]
+    order: int = field(init=False)
+    identity: int = field(init=False)
+    inverse: tuple[int, ...] = field(init=False)
 
-    def __init__(self, table):
-        rows = tuple(tuple(row) for row in table)
+    def __post_init__(self):
+        rows = tuple(tuple(row) for row in self.table)
         order = len(rows)
         if order == 0 or any(len(row) != order for row in rows):
             raise ValueError("multiplication table must be square and nonempty")
@@ -91,9 +95,6 @@ class FiniteGroup:
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", tuple(inverse))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("FiniteGroup is immutable")
-
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
 
@@ -101,12 +102,8 @@ class FiniteGroup:
         return self.table[self.table[g][x]][self.inverse[g]]
 
     def power(self, x: int, exponent: int) -> int:
-        if exponent < 0:
-            x, exponent = self.inverse[x], -exponent
-        if exponent > self.order:
-            exponent %= self.element_order(x)
         out = self.identity
-        for _ in range(exponent):
+        for _ in range(exponent % self.element_order(x)):
             out = self.table[out][x]
         return out
 
@@ -148,8 +145,9 @@ class FiniteGroup:
         table = obj["table"]
         if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
             raise ValueError("group table must be a list of rows")
-        if "order" in obj and obj["order"] != len(table):
-            raise ValueError("declared order does not match the table")
+        order = obj.get("order", len(table))
+        if type(order) is not int or order != len(table):
+            raise ValueError(f"declared order {order!r} does not match the table")
         return cls(table)
 
 
@@ -274,7 +272,7 @@ def _evaluate(group: FiniteGroup, word, images: tuple[int, ...]) -> int:
     return value
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class HomClass:
     """Conjugacy class of homomorphisms under simultaneous conjugation."""
 
@@ -332,6 +330,7 @@ def _partition(homs: list[tuple[int, ...]], group: FiniteGroup) -> list[HomClass
 # Fixed-point data and the sector sum
 # ---------------------------------------------------------------------------
 
+@dataclass(frozen=True, slots=True, eq=False, repr=False)
 class FixedPointCharacter:
     """Euler characteristic of the fixed set, per subgroup.
 
@@ -341,11 +340,11 @@ class FixedPointCharacter:
     consistency between nested subgroups is imposed.
     """
 
-    __slots__ = ("_chars",)
+    chars: dict[frozenset[int], int]
 
-    def __init__(self, chars):
+    def __post_init__(self):
         normalized = {}
-        for subgroup, chi in dict(chars).items():
+        for subgroup, chi in dict(self.chars).items():
             subgroup = frozenset(subgroup)
             if type(chi) is not int or any(type(x) is not int for x in subgroup):
                 raise ValueError(
@@ -353,23 +352,23 @@ class FixedPointCharacter:
                     "must be ints"
                 )
             normalized[subgroup] = chi
-        self._chars = normalized
+        object.__setattr__(self, "chars", normalized)
 
     def chi(self, subgroup: frozenset[int]) -> int:
         try:
-            return self._chars[frozenset(subgroup)]
+            return self.chars[frozenset(subgroup)]
         except KeyError:
             raise FixedPointDataError(
                 f"no fixed-point value for subgroup {sorted(subgroup)}"
             ) from None
 
     def subgroups(self) -> list[frozenset[int]]:
-        return sorted(self._chars, key=sorted)
+        return sorted(self.chars, key=sorted)
 
     def to_json(self) -> list[dict]:
         return [
             {"subgroup": sorted(subgroup), "chi": chi}
-            for subgroup, chi in sorted(self._chars.items(), key=lambda kv: sorted(kv[0]))
+            for subgroup, chi in sorted(self.chars.items(), key=lambda kv: sorted(kv[0]))
         ]
 
     @classmethod

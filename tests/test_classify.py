@@ -164,6 +164,15 @@ def test_reconstruct_non_integer_root_is_invalid():
         reconstruct([0, 2, 6, 16, 41])
 
 
+def test_reconstruct_recurrence_without_order_roots():
+    # differences 2, 4, 10, 28 are 3**j + 1: roots 3 and 1, and 1 is no cone order
+    assert isinstance(reconstruct([0, 2, 4, 8, 18, 46]), InsufficientData)
+    with pytest.raises(InvalidSequenceError):
+        reconstruct([0, 2, 4, 8, 18, 46, 128])
+    # differences 1, 4, 11, 24 follow d[j+2] = 4 d[j+1] - 5 d[j]: roots 2 +- i
+    assert isinstance(reconstruct([0, 2, 3, 7, 18, 42]), InsufficientData)
+
+
 def test_reconstruct_non_integer_multiplicity_is_invalid():
     # differences 3, 9, 27 give order 3 with weight 3, multiplicity 3/2
     with pytest.raises(InvalidSequenceError):

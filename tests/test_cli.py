@@ -61,6 +61,8 @@ def test_chi_json_mode_round_trips(run):
     code, out, _ = run("chi", "--sig", "Sigma_0(5,5,10)", "--seq-len", "2", "--json")
     assert code == 0
     assert json.loads(out) == {"values": ["-1/2", "2", "19"]}
+    code, out, _ = run("chi", "--sig", "Sigma_0(5,5,10)", "--gamma", "Z^2", "--json")
+    assert (code, json.loads(out)) == (0, {"value": "19"})
 
 
 def test_chi_from_file(run, tmp_path):
@@ -246,6 +248,8 @@ def test_quotient_builtin_group(run, tmp_path):
     fpc.write_text(json.dumps([{"subgroup": s, "chi": 2} for s in subgroups]))
     code, out, _ = run("quotient", "--group", "C6", "--fpc", str(fpc), "--gamma", "Z")
     assert (code, out.strip()) == (0, "2")
+    code, out, _ = run("quotient", "--group", "C6", "--fpc", str(fpc), "--gamma", "Z^2", "--json")
+    assert (code, json.loads(out)) == (0, {"value": "12"})
 
 
 def test_quotient_group_from_file(run, tmp_path):
@@ -288,6 +292,8 @@ def test_quotient_conjugation_variant_data_exits_2(run, tmp_path):
         ("--group", "[[0]]"),
         ("--group", '{"table":[5]}'),
         ("--group", '{"table":[[false]]}'),
+        ("--group", '{"order":true,"table":[[0]]}'),
+        ("--group", '{"order":1.0,"table":[[0]]}'),
     ],
 )
 def test_quotient_malformed_document_exits_2(run, tmp_path, option, document):

@@ -329,6 +329,17 @@ def test_expand_family_strips_shared_orders():
     ]
 
 
+def test_expand_family_reduces_shared_orders_with_unequal_counts():
+    # one cone each of 3 and 6 matches two cones of 4 in chi_es; one 4 is shared
+    first = OrbifoldSignature(0, {3: 1, 4: 1, 6: 1})
+    second = OrbifoldSignature(0, {4: 3})
+    assert expand_family(first, second, 3, 0) == [
+        OrbifoldSignature(0, {3: 2, 6: 2}),
+        OrbifoldSignature(0, {3: 1, 4: 2, 6: 1}),
+        OrbifoldSignature(0, {4: 4}),
+    ]
+
+
 def test_expand_family_rejects_equal_or_mismatched_pairs():
     first, second = base_pair(0, 2)
     with pytest.raises(ValueError):
@@ -339,6 +350,8 @@ def test_expand_family_rejects_equal_or_mismatched_pairs():
         expand_family(first, sig(0, 4, 8), 3, 2)
     with pytest.raises(ValueError):
         expand_family(first, sig(0, 3, 3, 3), 3, 1)
+    with pytest.raises(ValueError, match="genus"):
+        expand_family(first, OrbifoldSignature(1, {5: 2, 10: 1}), 3, 0)
 
 
 # ---------------------------------------------------------------------------

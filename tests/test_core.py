@@ -176,6 +176,8 @@ def test_chi_gamma_times_manifold():
         (Presented(("x", "y"), ()), FgAbelian(2)),
         (Presented(("a", "b"), ("a^2", "b^3", "a b a^-1 b^-1")), FgAbelian(0, (2, 3))),
         (Presented(("a", "b"), ("a^2 b^-3",)), FgAbelian(1)),
+        # x^2 = x^3 = 1: the pivot 2 leaves the remainder 1 in the x^3 row
+        (Presented(("x",), ("x^2", "x^3")), FgAbelian(0)),
     ],
 )
 def test_abelianize(gamma, expected):

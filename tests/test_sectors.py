@@ -106,6 +106,22 @@ def test_table_validation():
         )
 
 
+def test_groups_and_fixed_point_data_are_immutable():
+    group, fixed = rotation_sphere_action(6, 1)
+    for value, fields in ((group, ("table", "order", "identity", "inverse")), (fixed, ("chars",))):
+        for name in fields:
+            with pytest.raises(AttributeError):
+                setattr(value, name, None)
+    # a name that is no field is refused too; the __setattr__ that dataclasses
+    # generates for frozen slotted classes raises TypeError for it
+    with pytest.raises((AttributeError, TypeError)):
+        fixed._chars = {}
+    # equality and hashing stay by identity, and the repr leaves out the data
+    assert FiniteGroup(group.table) != group
+    assert FixedPointCharacter(chars=fixed.chars) != fixed
+    assert "table=" not in repr(group) and "chars=" not in repr(fixed)
+
+
 def test_group_json_round_trip():
     group = dihedral_group(5)
     clone = FiniteGroup.from_json(group.to_json())
@@ -147,6 +163,9 @@ def test_presented_homs_check_relators():
     # no two distinct reflections commute when the rotation count is odd
     images = enumerate_homs(klein, group)
     assert all(x == 0 or y == 0 or x == y for x, y in images)
+    # x^2 = x^3 = 1 forces x = 1
+    for n in range(2, 13):
+        assert enumerate_homs(Presented(("x",), ("x^2", "x^3")), cyclic_group(n)) == [(0,)]
 
 
 def test_hom_counts_into_cyclic_match_closed_form():
