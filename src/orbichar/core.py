@@ -17,7 +17,7 @@ import re
 from collections.abc import Mapping
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
 from typing import Union
 
 
@@ -343,13 +343,12 @@ def power_sum(sig: OrbifoldSignature, exponent: int) -> Fraction:
 
     ``exponent`` -1 means the exact rational 1/order.
     """
-    total = Fraction(0)
-    for order, count in sig.cones:
-        if exponent < 0:
-            total += Fraction(count, order ** (-exponent))
-        else:
-            total += count * order ** exponent
-    return total
+    if exponent >= 0:
+        return Fraction(sum(count * order ** exponent for order, count in sig.cones))
+    # One common denominator: a Fraction sum would reduce after every term.
+    powers = [order ** -exponent for order, _ in sig.cones]
+    den = lcm(*powers)
+    return Fraction(sum(count * (den // p) for (_, count), p in zip(sig.cones, powers)), den)
 
 
 def chi_level(sig: OrbifoldSignature, level: int) -> Fraction:

@@ -26,6 +26,7 @@ from orbichar import (
     is_diffeomorphic,
     parse_rational,
     parse_signature,
+    power_sum,
 )
 
 
@@ -85,6 +86,15 @@ def test_chi_level_matches_flat_list_oracle(signature, level):
     for order in flat:
         naive += Fraction(1, order) if level == 0 else Fraction(order ** (level - 1))
     assert chi_level(signature, level) == naive
+
+
+@given(signatures, st.integers(-3, 3))
+def test_power_sum_matches_term_by_term_sum(signature, exponent):
+    naive = sum(
+        (count * Fraction(order) ** exponent for order, count in signature.cones),
+        Fraction(0),
+    )
+    assert power_sum(signature, exponent) == naive
 
 
 @given(signatures, st.integers(1, 8))
