@@ -14,7 +14,7 @@ from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations_with_replacement
-from math import gcd
+from math import gcd, lcm
 from typing import Iterator, Sequence, Union
 
 from .core import OrbifoldSignature, chi_level
@@ -328,19 +328,36 @@ def search_collisions(
     genus_max: int, count_max: int, order_max: int, level: int
 ) -> list[CollisionGroup]:
     """Group all signatures within the bounds by their characteristic
-    sequence through ``level`` and return the groups of size >= 2."""
+    sequence through ``level`` and return the groups of size >= 2.
+
+    Order tuples are bucketed by an exact integer key: den times the level-0
+    value, den = lcm(2..order_max), then the values at levels 1..level.  The
+    key is summed straight from the tuple, (2 - 2g) * (den, 1, ..., 1) plus
+    (den/m - den, 0, m - 1, ..., m**(level-1) - 1) per cone of order m, and
+    only partitions: signatures are built for buckets of two or more, and a
+    group's values are its members' char_sequence.  Windows are visited in
+    canonical order, so groups and their members come out sorted.
+    """
     if min(genus_max, count_max, order_max, level) < 0:
         raise ValueError("all bounds must be nonnegative")
-    buckets: dict[tuple[Fraction, ...], list[OrbifoldSignature]] = defaultdict(list)
+    den = lcm(*range(2, order_max + 1))
+    terms = {
+        m: (den // m - den, *(m**e - 1 for e in range(level))) for m in range(2, order_max + 1)
+    }
+    buckets: dict[tuple[int, ...], list[tuple[int, tuple[int, ...]]]] = defaultdict(list)
     for genus in range(genus_max + 1):
+        offset = ((2 - 2 * genus) * den, *(2 - 2 * genus,) * level)
         for k in range(count_max + 1):
             for orders in combinations_with_replacement(range(2, order_max + 1), k):
-                sig = OrbifoldSignature.from_orders(genus, *orders)
-                buckets[tuple(char_sequence(sig, level))].append(sig)
-    groups = [
-        CollisionGroup(values, tuple(sorted(sigs, key=OrbifoldSignature.sort_key)))
-        for values, sigs in buckets.items()
-        if len(sigs) >= 2
-    ]
-    groups.sort(key=lambda grp: grp.signatures[0].sort_key())
+                key = tuple(map(sum, zip(offset, *map(terms.__getitem__, orders))))
+                buckets[key].append((genus, orders))
+    groups = []
+    for members in buckets.values():
+        if len(members) < 2:
+            continue
+        sigs = tuple(OrbifoldSignature.from_orders(genus, *orders) for genus, orders in members)
+        sequences = {tuple(char_sequence(sig, level)) for sig in sigs}
+        if len(sequences) != 1:
+            raise RuntimeError(f"collision key grouped {sigs!r} with distinct sequences")
+        groups.append(CollisionGroup(sequences.pop(), sigs))
     return groups

@@ -45,6 +45,7 @@ from .core import (
     chi_level,
     format_rational,
     is_diffeomorphic,
+    parse_int,
     parse_rational,
     parse_signature,
 )
@@ -72,22 +73,25 @@ def parse_gamma_spec(spec: str) -> GammaDescriptor:
     if spec == "trivial":
         return FgAbelian(0, ())
     if spec.startswith("F_"):
-        tail = spec[2:]
-        if not tail.isdecimal():
-            raise GammaSupportError(f"bad free-group spec {spec!r}")
-        return FreeGroup(int(tail))
+        try:
+            return FreeGroup(parse_int(spec[2:], signed=False))
+        except ValueError:
+            raise GammaSupportError(f"bad free-group spec {spec!r}") from None
     rank = 0
     torsion = []
     for part in spec.split("+"):
         part = part.strip()
-        if part == "Z":
-            rank += 1
-        elif part.startswith("Z^") and part[2:].isdecimal():
-            rank += int(part[2:])
-        elif part.startswith("Z/") and part[2:].isdecimal():
-            torsion.append(int(part[2:]))
-        else:
-            raise GammaSupportError(f"bad group spec component {part!r}")
+        try:
+            if part == "Z":
+                rank += 1
+            elif part.startswith("Z^"):
+                rank += parse_int(part[2:], signed=False)
+            elif part.startswith("Z/"):
+                torsion.append(parse_int(part[2:], signed=False))
+            else:
+                raise ValueError(part)
+        except ValueError:
+            raise GammaSupportError(f"bad group spec component {part!r}") from None
     try:
         return FgAbelian(rank, tuple(torsion))
     except ValueError as exc:
@@ -158,7 +162,7 @@ def cmd_chi(args) -> int:
 
 
 def cmd_construct(args) -> int:
-    seeds = [int(part) for part in args.orders.split(",") if part.strip()]
+    seeds = [parse_int(part.strip()) for part in args.orders.split(",") if part.strip()]
     pair = build_collision_pair(args.level, args.genus, seeds, equalize=args.equalize)
     if args.members is None:
         family = list(pair)

@@ -36,14 +36,31 @@ def format_rational(value: Fraction | int) -> str:
     return f"{value.numerator}/{value.denominator}"
 
 
+_INTEGER = re.compile(r"(-?)[0-9]+")
+
+
+def parse_int(text: str, signed: bool = True) -> int:
+    """ASCII decimal digits, after one minus sign only if ``signed``.
+
+    ``int`` alone also reads underscores, a plus sign, surrounding
+    whitespace and every Unicode decimal digit: ``int("1_0")`` and
+    ``int("٣")`` are numbers to it, but not in any input format here.
+    """
+    match = _INTEGER.fullmatch(text)
+    if match is None or (match.group(1) and not signed):
+        raise ValueError(f"not {'an' if signed else 'a nonnegative'} integer: {text!r}")
+    return int(text)
+
+
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
-        if int(den) == 0:
+        num, den = parse_int(num), parse_int(den)
+        if den == 0:
             raise ValueError(f"zero denominator in {text!r}")
-        return Fraction(int(num), int(den))
-    return Fraction(int(text))
+        return Fraction(num, den)
+    return Fraction(parse_int(text))
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +154,11 @@ class OrbifoldSignature:
             isinstance(e, dict) and type(e.get("count")) in (int, str) for e in entries
         ):
             raise ValueError("signature cones must be a list of order/count objects")
-        return cls(obj["genus"], [(entry["order"], int(entry["count"])) for entry in entries])
+        cones = []
+        for entry in entries:
+            count = entry["count"]
+            cones.append((entry["order"], parse_int(count) if isinstance(count, str) else count))
+        return cls(obj["genus"], cones)
 
 
 def parse_signature(text: str) -> OrbifoldSignature:
@@ -146,7 +167,7 @@ def parse_signature(text: str) -> OrbifoldSignature:
     ``Σ`` and ``S`` are accepted in place of ``Sigma``; an entry ``m^c``
     stands for c cone points of order m.
     """
-    match = re.fullmatch(r"\s*(?:Σ|Sigma|S)_(\d+)\(([^()]*)\)\s*", text)
+    match = re.fullmatch(r"\s*(?:Σ|Sigma|S)_([0-9]+)\(([^()]*)\)\s*", text)
     if match is None:
         raise ValueError(f"not a signature literal: {text!r}")
     genus = int(match.group(1))
@@ -154,12 +175,8 @@ def parse_signature(text: str) -> OrbifoldSignature:
     cones: list[tuple[int, int]] = []
     if body:
         for entry in body.split(","):
-            entry = entry.strip()
-            if "^" in entry:
-                order, _, count = entry.partition("^")
-                cones.append((int(order), int(count)))
-            else:
-                cones.append((int(entry), 1))
+            order, power, count = entry.partition("^")
+            cones.append((parse_int(order.strip()), parse_int(count.strip()) if power else 1))
     return OrbifoldSignature(genus, cones)
 
 
@@ -226,7 +243,7 @@ GammaDescriptor = Union[FreeGroup, FgAbelian, Presented]
 
 TRIVIAL_GROUP = FgAbelian(0, ())
 
-_WORD_TOKEN = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?\d+))?")
+_WORD_TOKEN = re.compile(r"([A-Za-z][A-Za-z0-9_]*)(?:\^(-?[0-9]+))?")
 
 
 def parse_word(word: str, generators: tuple[str, ...]) -> tuple[tuple[int, int], ...]:

@@ -28,6 +28,7 @@ from .core import (
     OrbifoldSignature,
     Presented,
     chi_gamma,
+    parse_int,
     parse_word,
 )
 
@@ -191,10 +192,13 @@ def group_by_name(name: str) -> FiniteGroup:
     factors = []
     for part in name.split("x"):
         part = part.strip()
-        if part.startswith("C") and part[1:].isdecimal():
-            factors.append(cyclic_group(int(part[1:])))
-        elif part.startswith("D") and part[1:].isdecimal():
-            order = int(part[1:])
+        try:
+            order = parse_int(part[1:], signed=False)
+        except ValueError:
+            order = None
+        if part.startswith("C") and order is not None:
+            factors.append(cyclic_group(order))
+        elif part.startswith("D") and order is not None:
             if order % 2 != 0 or order < 2:
                 raise ValueError(f"dihedral group order must be even, got {part!r}")
             factors.append(dihedral_group(order // 2))

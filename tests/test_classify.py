@@ -2,11 +2,15 @@
 
 import time
 from fractions import Fraction
+from functools import cache
+from itertools import combinations_with_replacement, product
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import orbichar.classify
 from orbichar import (
+    CollisionGroup,
     InsufficientData,
     InvalidSequenceError,
     OrbifoldSignature,
@@ -440,6 +444,51 @@ def test_search_long_sequences_separate_everything():
     for genus_max in range(3):
         for count_max in range(4):
             assert search_collisions(genus_max, count_max, 8, 2 * count_max + 2) == []
+
+
+@cache
+def _signature_and_sequence(genus, orders, level):
+    signature = sig(genus, *orders)
+    return signature, tuple(char_sequence(signature, level))
+
+
+def _reference_search(genus_max, count_max, order_max, level):
+    """Straightforward grouping by tuple(char_sequence(sig, level))."""
+    buckets = {}
+    for genus in range(genus_max + 1):
+        for k in range(count_max + 1):
+            for orders in combinations_with_replacement(range(2, order_max + 1), k):
+                signature, values = _signature_and_sequence(genus, orders, level)
+                buckets.setdefault(values, []).append(signature)
+    groups = [
+        CollisionGroup(values, tuple(sorted(members, key=OrbifoldSignature.sort_key)))
+        for values, members in buckets.items()
+        if len(members) >= 2
+    ]
+    return sorted(groups, key=lambda group: group.signatures[0].sort_key())
+
+
+def test_search_matches_reference_grouping():
+    for window in product(range(3), range(5), range(1, 11), range(5)):
+        assert repr(search_collisions(*window)) == repr(_reference_search(*window)), window
+
+
+def test_search_level_zero_groups_span_genera():
+    # the level-0 key has no 2 - 2g entry, so buckets must not split by genus
+    groups = search_collisions(1, 3, 5, 0)
+    assert any(
+        len({signature.genus for signature in group.signatures}) == 2 for group in groups
+    )
+    assert any({sig(1), sig(0, 3, 3, 3)} <= set(group.signatures) for group in groups)
+
+
+def test_search_rejects_key_that_splits_sequences(monkeypatch):
+    def skewed(signature, length):
+        return [value + signature.genus for value in char_sequence(signature, length)]
+
+    monkeypatch.setattr(orbichar.classify, "char_sequence", skewed)
+    with pytest.raises(RuntimeError):
+        search_collisions(1, 3, 5, 0)
 
 
 def test_search_rejects_negative_bounds():

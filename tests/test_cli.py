@@ -352,9 +352,9 @@ def test_deeply_nested_json_exits_2(run, tmp_path, source):
 def test_quotient_huge_rank_exits_3_at_once(run, tmp_path, group):
     fpc = tmp_path / "fpc.json"
     fpc.write_text('[{"subgroup":[0],"chi":2}]')
-    start = time.perf_counter()
+    start = time.process_time()  # CPU time: a loaded host must not fail the bound
     code, out, err = run("quotient", "--group", group, "--fpc", str(fpc), "--gamma", "Z^1000000000")
-    assert time.perf_counter() - start < 1
+    assert time.process_time() - start < 1
     assert (code, out) == (3, "")
     assert err.startswith("error:") and err.count("\n") == 1
 
@@ -376,6 +376,9 @@ def test_quotient_trivial_group_takes_any_rank_in_budget(run, tmp_path, gamma):
         ("--gamma", "Z+Z^³", 3, "bad group spec component"),
         ("--group", "C²", 2, "unknown group name"),
         ("--group", "C2xD²", 2, "unknown group name"),
+        ("--gamma", "Z^３", 3, "bad group spec component"),
+        ("--gamma", "Z/1_0", 3, "bad group spec component"),
+        ("--group", "C٣", 2, "unknown group name"),
     ],
 )
 def test_superscript_digits_are_not_numbers(run, tmp_path, option, value, code, message):
@@ -385,6 +388,22 @@ def test_superscript_digits_are_not_numbers(run, tmp_path, option, value, code, 
     result = run("quotient", *(f"{key}={arg}" for key, arg in argv.items()))
     assert result[:2] == (code, "")
     assert result[2].startswith(f"error: {message}") and result[2].count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("chi", "--sig", '{"genus":0,"cones":[{"order":2,"count":"1_0"}]}'),
+        ("reconstruct", "--seq=1_0/1_1,2"),
+        ("enumerate", "--chi-es=-1_0/3"),
+        ("chi", "--sig", "Sigma_0(２,3)"),
+        ("construct", "--L", "2", "--g", "0", "--orders", "2,1_0"),
+    ],
+)
+def test_underscored_and_non_ascii_digits_exit_2(run, argv):
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: not an integer") and err.count("\n") == 1
 
 
 _FACTOR_ORDERS = {f"C{n}": n for n in range(1, 61)} | {f"D{n}": n for n in range(2, 61, 2)}
@@ -444,9 +463,9 @@ def test_quotient_any_gamma_and_group_exits_cleanly(run, tmp_path, monkeypatch, 
         fpc.write_text(_all_subgroups_fpc(group))
     except ValueError:  # junk name: the group loader refuses it first
         fpc.write_text('[{"subgroup":[0],"chi":2}]')
-    start = time.perf_counter()
+    start = time.process_time()  # CPU time: a loaded host must not fail the bound
     code, out, err = run("quotient", f"--group={group}", f"--fpc={fpc}", f"--gamma={gamma}")
-    assert time.perf_counter() - start < 5
+    assert time.process_time() - start < 5
     assert code in (0, 2, 3, 4)
     if code == 0:
         assert err == "" and out.count("\n") == 1

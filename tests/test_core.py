@@ -205,6 +205,8 @@ def test_presented_rejects_bad_words():
         Presented(("x",), ("y^2",))
     with pytest.raises(ValueError):
         Presented(("x", "x"), ())
+    with pytest.raises(ValueError):
+        Presented(("x",), ("x^٣",))
 
 
 def test_descriptor_equality_is_normal_form_not_isomorphism():
@@ -319,6 +321,12 @@ def test_parse_signature_rejects_garbage():
 @given(st.fractions())
 def test_rational_round_trip(value):
     assert parse_rational(format_rational(value)) == value
+
+
+@pytest.mark.parametrize("text", ["1_0", "+1", "٣", "1/2_0", "1/+2", "1 / 2", "", "-"])
+def test_parse_rational_reads_only_ascii_digits(text):
+    with pytest.raises(ValueError):
+        parse_rational(text)
 
 
 def test_rational_format():
