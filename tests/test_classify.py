@@ -414,9 +414,9 @@ def test_reconstruct_many_orders_with_beyond_word_counts():
 def test_reconstruct_large_orders_quickly(signature):
     # the root search must not grow with the size of the largest order
     values = char_sequence(signature, 2 * len(signature.cones) + 2)
-    start = time.perf_counter()
+    start = time.process_time()  # CPU time: a loaded host must not fail the bound
     result = reconstruct(values)
-    assert time.perf_counter() - start < 0.05
+    assert time.process_time() - start < 0.05
     assert result == signature
 
 

@@ -6,12 +6,15 @@ import subprocess
 import sys
 import time
 from functools import cache
+from itertools import product
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from orbichar.classify import char_sequence
 from orbichar.cli import _signature_line, main
-from orbichar.core import OrbifoldSignature
+from orbichar.constructions import build_collision_pair, expand_family
+from orbichar.core import OrbifoldSignature, format_rational
 from orbichar.sectors import group_by_name
 
 
@@ -143,6 +146,48 @@ def test_construct_nonzero_genus(run):
     assert code == 0
     payload = json.loads(out)
     assert all(member["genus"] == 5 for member in payload["family"])
+
+
+def test_construct_matches_json_dumps_byte_for_byte(run):
+    """The streamed document equals the json.dumps of the library's family
+    with one recomputed sequence per member."""
+    repeated = 0
+    for level in range(2, 7):
+        seeds = list(range(level + 1, level + 1 + (1 if level <= 2 else 2 ** (level - 2))))
+        for members, equalize, genus in product((None, 3, 5), ("lcm", "product"), range(3)):
+            argv = ["construct", f"--L={level}", f"--g={genus}", f"--equalize={equalize}"]
+            argv += [f"--orders={','.join(map(str, seeds))}"] + ([f"--N={members}"] if members else [])
+            pair = build_collision_pair(level, genus, seeds, equalize=equalize)
+            family = list(pair) if members is None else expand_family(*pair, members, level)
+            expected = json.dumps(
+                {
+                    "family": [sig.to_json() for sig in family],
+                    "verification": {
+                        "char_sequences": [
+                            [format_rational(v) for v in char_sequence(sig, level)] for sig in family
+                        ],
+                        "agree_through_level": level,
+                        "pairwise_distinct": True,
+                    },
+                },
+                separators=(",", ":"),
+            ) + "\n"
+            assert run(*argv) == (0, expected, "")
+            counts = [count for sig in family for _, count in sig.cones]
+            repeated += len(set(counts)) < len(counts)
+    assert repeated  # the per-count memo is exercised
+
+
+def test_construct_past_the_digit_limit_writes_nothing(run):
+    # lcm L=8 counts run to ~18,000 digits, past CPython's int->str limit:
+    # every number is converted before the first write, so stdout is empty
+    # or holds a whole document
+    seeds = ",".join(map(str, range(2, 66)))
+    code, out, err = run("construct", "--L", "8", "--g", "0", "--orders", seeds, "--N", "4")
+    if code == 2:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1
+    else:
+        assert code == 0 and json.loads(out)["verification"]["agree_through_level"] == 8
 
 
 def test_construct_bad_seed_count_exits_2(run):
@@ -398,12 +443,41 @@ def test_superscript_digits_are_not_numbers(run, tmp_path, option, value, code, 
         ("enumerate", "--chi-es=-1_0/3"),
         ("chi", "--sig", "Sigma_0(２,3)"),
         ("construct", "--L", "2", "--g", "0", "--orders", "2,1_0"),
+        ("chi", "--sig", "Sigma_0(2,3)", "--l", "1_0"),
+        ("chi", "--sig", "Sigma_0(2,3)", "--seq-len", "２"),
+        ("search", "--g-max", "0", "--k-max", "٣", "--m-max", "5", "--L", "1"),
+        ("search", "--g-max", "1_0", "--k-max", "3", "--m-max", "5", "--L", "1"),
+        ("search", "--g-max", "0", "--k-max", "3", "--m-max", "５", "--L", "1"),
+        ("search", "--g-max", "0", "--k-max", "3", "--m-max", "5", "--L", "+1"),
+        ("construct", "--L", "٣", "--g", "0", "--orders", "2,3"),
+        ("construct", "--L", "2", "--g", "1_0", "--orders", "2"),
+        ("construct", "--L", "2", "--g", "0", "--orders", "2", "--N", " 3"),
     ],
 )
 def test_underscored_and_non_ascii_digits_exit_2(run, argv):
     code, out, err = run(*argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: not an integer") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (("chi", "--sig", "Sigma_0(2,3)", "--l", "-1"), 2),
+        (("chi", "--sig", "Sigma_0(2,3)", "--l", "-0"), 0),
+        (("chi", "--sig", "Sigma_0(2,3)", "--seq-len", "-1"), 2),
+        (("construct", "--L", "-1", "--g", "0", "--orders", "2"), 2),
+        (("construct", "--L", "2", "--g", "-1", "--orders", "2"), 2),
+        (("construct", "--L", "2", "--g", "0", "--orders", "2", "--N", "-1"), 2),
+        (("search", "--g-max", "-1", "--k-max", "3", "--m-max", "5", "--L", "1"), 2),
+        (("search", "--g-max", "0", "--k-max", "3", "--m-max", "5", "--L", "-1"), 2),
+    ],
+)
+def test_negative_integer_options_keep_their_exit_codes(run, argv, code):
+    result = run(*argv)
+    assert result[0] == code
+    if code:
+        assert result[1] == "" and result[2].startswith("error:") and result[2].count("\n") == 1
 
 
 _FACTOR_ORDERS = {f"C{n}": n for n in range(1, 61)} | {f"D{n}": n for n in range(2, 61, 2)}

@@ -195,10 +195,10 @@ def test_hom_budget_env_override(monkeypatch):
 def test_hom_budget_refuses_huge_rank_at_once(gamma, order):
     # C1 has a single image tuple, but its length alone is over the budget
     group = cyclic_group(order)
-    start = time.perf_counter()
+    start = time.process_time()  # CPU time: a loaded host must not fail the bound
     with pytest.raises(HomBudgetExceeded):
         enumerate_homs(gamma, group)
-    assert time.perf_counter() - start < 1
+    assert time.process_time() - start < 1
 
 
 def brute_force_homs(gamma, group):
@@ -255,9 +255,9 @@ def test_enumerate_homs_matches_brute_force(gamma, name):
 
 
 def test_trivial_group_admits_huge_rank():
-    start = time.perf_counter()
+    start = time.process_time()  # CPU time: a loaded host must not fail the bound
     assert enumerate_homs(FgAbelian(10**6), cyclic_group(1)) == [(0,) * 10**6]
-    assert time.perf_counter() - start < 1
+    assert time.process_time() - start < 1
 
 
 # ---------------------------------------------------------------------------
