@@ -395,6 +395,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact characteristic computations for closed 2-orbifolds.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # Integer options have no type=: each subcommand reads them with
+    # parse_int, so a malformed one exits 2 with one error line.
 
     chi = sub.add_parser("chi", help="characteristic values of a signature")
     chi.add_argument("--sig", required=True, help="signature: file, JSON, or Sigma_g(m1,m2,...)")
