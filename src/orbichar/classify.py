@@ -10,10 +10,10 @@ arithmetic is rational and exact; there are no tolerances anywhere.
 
 from __future__ import annotations
 
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, count
 from math import gcd, lcm
 from typing import Iterator, Sequence, Union
 
@@ -207,22 +207,97 @@ def reconstruct(values: Sequence[Fraction | int]) -> ReconstructResult:
 # Finite enumeration of a given Euler-Satake characteristic
 # ---------------------------------------------------------------------------
 
-def _factorize(n: int) -> dict[int, int]:
-    factors: dict[int, int] = {}
-    for p in (2, 3):
-        while n % p == 0:
-            factors[p] = factors.get(p, 0) + 1
-            n //= p
-    d = 5
-    while d * d <= n:
+# Miller-Rabin with the first 13 prime bases is exact below this bound
+# (Sorenson and Webster, 2015).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT = 3317044064679887385961981
+# _factorize trial-divides by the primes below this (5 mod 6, where a
+# second trial pass resumes), so every cofactor below its square is prime.
+_TRIAL_LIMIT = 1025
+
+
+def _passes_miller_rabin(n: int) -> bool:
+    """False proves the odd n > 41 composite; True proves it prime below _MR_EXACT."""
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
+def _pollard_brent(n: int) -> int:
+    """A proper factor of the odd composite n (Brent, 1980)."""
+    for c in count(1):
+        y, r, g, x, ys, batch = 2, 1, 1, 2, 2, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    batch = batch * abs(x - y) % n
+                g = gcd(batch, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: retrace one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = gcd(abs(x - ys), n)
+        if g != n:
+            return g
+
+
+def _trial_divide(n: int, factors: Counter, d: int, stop: int) -> int:
+    """Divide the primes in [d, stop) out of n, d == 5 mod 6 and 2, 3 gone,
+    stopping early past sqrt(n); return the cofactor."""
+    while d * d <= n and d < stop:
         for p in (d, d + 2):
             while n % p == 0:
-                factors[p] = factors.get(p, 0) + 1
+                factors[p] += 1
                 n //= p
         d += 6
-    if n > 1:
-        factors[n] = factors.get(n, 0) + 1
-    return factors
+    return n
+
+
+def _factorize(n: int) -> dict[int, int]:
+    """Prime factorization of n >= 1, exact, primes ascending.
+
+    Trial division takes out the primes below _TRIAL_LIMIT.  A larger
+    cofactor is proven prime by Miller-Rabin, or proven composite and split
+    by Pollard-Brent, whose factors go through the same test.  A cofactor
+    past _MR_EXACT that passes Miller-Rabin is only probably prime, so it
+    goes back to trial division, which stays exact but costs sqrt(n).
+    """
+    factors: Counter = Counter()
+    for p in (2, 3):
+        while n % p == 0:
+            factors[p] += 1
+            n //= p
+    pending = [_trial_divide(n, factors, 5, _TRIAL_LIMIT)]
+    while pending:
+        n = pending.pop()
+        if n >= _TRIAL_LIMIT**2 and not _passes_miller_rabin(n):
+            factor = _pollard_brent(n)
+            pending += (factor, n // factor)
+            continue
+        if n >= _MR_EXACT:
+            n = _trial_divide(n, factors, _TRIAL_LIMIT, n)
+        if n > 1:
+            factors[n] += 1
+    return dict(sorted(factors.items()))
 
 
 def _iter_final_pairs(p: int, q: int, lo: int) -> Iterator[tuple[int, int]]:
@@ -232,9 +307,11 @@ def _iter_final_pairs(p: int, q: int, lo: int) -> Iterator[tuple[int, int]]:
     are exactly the divisors d <= q of q*q with d == -q mod p, giving
     m1 = (d + q)/p and m2 = (q*q/d + q)/p, in ascending d.  The candidates
     are listed whichever way is cheaper: a stride-p scan of the residue
-    class costs q/p steps, factoring q by trial division about sqrt(q), so
-    the scan runs while q/p <= 64 or (q/p)**2 <= 16*q and the divisors of
-    q*q are built otherwise (near-exhausted sums give q/p in the millions).
+    class costs q/p steps, so the scan runs while q/p <= 64 or
+    (q/p)**2 <= 16*q and the divisors of q*q are built otherwise
+    (near-exhausted sums give q/p in the millions).  The divisors are built
+    prime by prime, dropping every partial product above q, which can
+    only grow.
     """
     qq = q * q
     start = max(1, lo * p - q)  # m1 >= lo
@@ -243,20 +320,37 @@ def _iter_final_pairs(p: int, q: int, lo: int) -> Iterator[tuple[int, int]]:
     else:
         divisors = [1]
         for prime, exp in _factorize(q).items():
-            divisors = [d * prime**e for d in divisors for e in range(2 * exp + 1)]
-        divisors = sorted(d for d in divisors if start <= d <= q and (d + q) % p == 0)
+            powers = [prime**e for e in range(1, 2 * exp + 1)]
+            divisors += [x for d in divisors for power in powers if (x := d * power) <= q]
+        residue = -q % p
+        divisors = sorted(d for d in divisors if d >= start and d % p == residue)
     for d in divisors:
         yield (d + q) // p, (qq // d + q) // p
 
 
-def _iter_order_tuples(k: int, p: int, q: int, lo: int) -> Iterator[tuple[int, ...]]:
-    """Nondecreasing order tuples of length k >= 1 with sum(1/m) == p/q > 0."""
+def _grow(runs: tuple[tuple[int, int], ...], m: int) -> tuple[tuple[int, int], ...]:
+    """Run-length cones with one more cone of order m >= every order in runs."""
+    if runs and runs[-1][0] == m:
+        return runs[:-1] + ((m, runs[-1][1] + 1),)
+    return runs + ((m, 1),)
+
+
+def _iter_cones(
+    k: int, p: int, q: int, lo: int, runs: tuple[tuple[int, int], ...]
+) -> Iterator[tuple[tuple[int, int], ...]]:
+    """Run-length cones: runs extended by k >= 1 nondecreasing orders >= lo
+    with sum(1/m) == p/q > 0, where lo is the order of the last run (2 when
+    runs is empty).  Each order joins the last run or opens a new one."""
     if k == 1:
         if q % p == 0 and q // p >= lo:
-            yield (q // p,)
+            yield _grow(runs, q // p)
         return
     if k == 2:
-        yield from _iter_final_pairs(p, q, lo)
+        for m1, m2 in _iter_final_pairs(p, q, lo):
+            if m1 == lo or m1 == m2:
+                yield _grow(_grow(runs, m1), m2)
+            else:
+                yield runs + ((m1, 1), (m2, 1))
         return
     m_lo = max(lo, -(-q // p))
     m_hi = k * q // p
@@ -265,19 +359,7 @@ def _iter_order_tuples(k: int, p: int, q: int, lo: int) -> Iterator[tuple[int, .
         if num == 0:
             continue  # k - 1 further positive terms cannot sum to zero
         shrink = gcd(num, den)
-        for rest in _iter_order_tuples(k - 1, num // shrink, den // shrink, m):
-            yield (m,) + rest
-
-
-def _runs(orders: tuple[int, ...]) -> tuple[tuple[int, int], ...]:
-    """Run-length (order, count) pairs of a nondecreasing order tuple."""
-    cones: list[tuple[int, int]] = []
-    for m in orders:
-        if cones and cones[-1][0] == m:
-            cones[-1] = (m, cones[-1][1] + 1)
-        else:
-            cones.append((m, 1))
-    return tuple(cones)
+        yield from _iter_cones(k - 1, num // shrink, den // shrink, m, _grow(runs, m))
 
 
 def iter_signatures_by_chi_es(target: Fraction | int) -> Iterator[OrbifoldSignature]:
@@ -302,8 +384,8 @@ def iter_signatures_by_chi_es(target: Fraction | int) -> Iterator[OrbifoldSignat
                 continue
             if need <= 0 or 2 * need > k:
                 continue
-            for orders in _iter_order_tuples(k, need.numerator, need.denominator, 2):
-                yield OrbifoldSignature._trusted(genus, _runs(orders))
+            for cones in _iter_cones(k, need.numerator, need.denominator, 2, ()):
+                yield OrbifoldSignature._trusted(genus, cones)
         genus += 1
 
 

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
 
@@ -126,13 +127,33 @@ def _print_json(payload) -> None:
     sys.stdout.write("\n")
 
 
-def _signature_line(sig: OrbifoldSignature) -> str:
+def _cone_json(cone: tuple[int, int]) -> str:
+    order, count = cone
+    return f'{{"order":{order},"count":"{count}"}}'
+
+
+# Most cones of an enumerate request repeat one already printed in it, so
+# their text is memoized, in a memo cleared whenever it holds this many.
+_CONE_MEMO_SIZE = 1024
+
+
+class _ConeMemo(dict):
+    """Cone -> _cone_json(cone), computed on first use."""
+
+    __slots__ = ()
+
+    def __missing__(self, cone: tuple[int, int]) -> str:
+        if len(self) >= _CONE_MEMO_SIZE:
+            self.clear()
+        text = self[cone] = _cone_json(cone)
+        return text
+
+
+def _signature_line(sig: OrbifoldSignature, cone_text: Callable[[tuple[int, int]], str]) -> str:
     """``json.dumps(sig.to_json(), separators=(",", ":"))``, formatted
-    directly: the pure-Python chunked encoder dominated enumerate output."""
-    cones = ",".join(
-        f'{{"order":{order},"count":"{count}"}}' for order, count in sig.cones
-    )
-    return f'{{"genus":{sig.genus},"cones":[{cones}]}}'
+    directly (the pure-Python chunked encoder dominated enumerate output),
+    with each cone's text from ``cone_text``."""
+    return f'{{"genus":{sig.genus},"cones":[{",".join(map(cone_text, sig.cones))}]}}'
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +228,10 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_enumerate(args) -> int:
     target = parse_rational(args.chi_es)
+    cone_text = _ConeMemo().__getitem__
     write = sys.stdout.write
     for sig in iter_signatures_by_chi_es(target):
-        write(_signature_line(sig) + "\n")
+        write(_signature_line(sig, cone_text) + "\n")
     return EXIT_OK
 
 

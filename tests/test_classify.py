@@ -227,14 +227,28 @@ def naive_enumerate(target, order_cap):
 
 @pytest.mark.parametrize(
     "target",
-    [Fraction(2), Fraction(1), Fraction(1, 2), Fraction(0), Fraction(-1, 2)],
+    [
+        Fraction(2),
+        Fraction(1),
+        Fraction(1, 2),
+        Fraction(0),
+        Fraction(-1, 2),
+        Fraction(-1),  # 19 signatures, up to six cones
+        Fraction(-3, 2),  # 131 signatures, up to seven cones
+        Fraction(-2),  # 173 signatures, up to eight cones
+    ],
 )
 def test_enumerate_matches_naive_oracle(target):
+    # the largest order is 42 down to -1, and 1806 = 42 * 43 at -3/2 and -2
+    order_cap = 48 if target >= -1 else 1806
     exact = enumerate_by_chi_es(target)
-    assert exact == naive_enumerate(target, 48)
+    assert exact == naive_enumerate(target, order_cap)
     assert len(set(exact)) == len(exact)
     assert exact == sorted(exact, key=OrbifoldSignature.sort_key)
     assert all(chi_es(signature) == target for signature in exact)
+    # enumerated signatures skip validation, so their cones must already be
+    # the canonical runs that the validating constructor builds
+    assert all(s == OrbifoldSignature(s.genus, s.cones) for s in exact)
 
 
 def test_enumerate_known_small_sets():
@@ -351,6 +365,62 @@ def test_final_pairs_match_scan_on_random_inputs(factorize_calls):
         assert fast == _scan_final_pairs(p, q, lo), (p, q, lo)
         assert factorize_calls == ([] if _scans(p, q) else [q]), (p, q, lo)
     assert {_scans(p, q) for p, q, _ in cases} == {True, False}
+
+
+def _trial_factorize(n):
+    factors = {}
+    d = 2
+    while d * d <= n:
+        while n % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            n //= d
+        d += 1
+    if n > 1:
+        factors[n] = factors.get(n, 0) + 1
+    return factors
+
+
+def test_factorize_matches_trial_division():
+    import random
+
+    from orbichar.classify import _factorize
+
+    rng = random.Random(20092)
+    # around the trial-division limit 1025: its square, products of the
+    # primes on either side of it, and random values up to 10**12
+    cases = [*range(1, 3000), 1021**2, 1021 * 1031, 1031**2, 1049 * 1051 * 1061, 2**20 * 3]
+    cases += [rng.randrange(1, 10**12) for _ in range(50)]
+    for n in cases:
+        factors = _factorize(n)
+        assert factors == _trial_factorize(n), n
+        assert list(factors) == sorted(factors)
+
+
+@pytest.mark.parametrize(
+    "factors",
+    [
+        {998244353: 1, 1000000007: 1},
+        {2147483647: 1, 2305843009213693951: 1},
+        {1000000007: 1, 1000000009: 1},
+        {999999999989: 1, 1000000000039: 1},
+        {2: 3, 3: 1, 998244353: 1, 1000000007: 2},
+        {1000000007: 3},
+        {998244353: 2, 1000000007: 2},
+        {1021: 5},
+        {1000000000000000003: 1},
+    ],
+)
+def test_factorize_large_prime_factors(factors):
+    # semiprimes and prime powers beyond trial division's reach, two of
+    # them past the bound below which Miller-Rabin is exact
+    from math import prod
+
+    from orbichar.classify import _factorize
+
+    n = prod(p**e for p, e in factors.items())
+    start = time.process_time()
+    assert _factorize(n) == factors
+    assert time.process_time() - start < 2
 
 
 def test_final_pair_divisor_method_respects_lower_bound():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orbichar.classify import char_sequence
-from orbichar.cli import _signature_line, main
+from orbichar.cli import _CONE_MEMO_SIZE, _ConeMemo, _cone_json, _signature_line, main
 from orbichar.constructions import build_collision_pair, expand_family
 from orbichar.core import OrbifoldSignature, format_rational
 from orbichar.sectors import group_by_name
@@ -267,6 +267,21 @@ def test_enumerate_includes_example_pair(run):
     )
 
 
+def test_enumerate_huge_prime_denominator_at_once(run):
+    # 1/q with q = 10**18 + 3 prime: the final pairs factor q, which took
+    # ~10**9 trial divisions before Miller-Rabin proved it prime
+    q = 10**18 + 3
+    start = time.process_time()  # CPU time: a loaded host must not fail the bound
+    code, out, _ = run("enumerate", f"--chi-es=1/{q}")
+    assert time.process_time() - start < 1
+    assert code == 0
+    assert [json.loads(line) for line in out.splitlines()] == [
+        OrbifoldSignature(0, {q + 1: 1, q * (q + 1): 1}).to_json(),
+        OrbifoldSignature(0, {2 * q: 2}).to_json(),
+        OrbifoldSignature(0, {2: 2, q: 1}).to_json(),
+    ]
+
+
 @pytest.mark.parametrize(
     "signature",
     [
@@ -277,7 +292,25 @@ def test_enumerate_includes_example_pair(run):
     ],
 )
 def test_signature_line_matches_json_dumps(signature):
-    assert _signature_line(signature) == json.dumps(signature.to_json(), separators=(",", ":"))
+    expected = json.dumps(signature.to_json(), separators=(",", ":"))
+    assert _signature_line(signature, _cone_json) == expected
+    memo = _ConeMemo()
+    # a miss stores the text, the second call reads it back
+    assert _signature_line(signature, memo.__getitem__) == expected
+    assert _signature_line(signature, memo.__getitem__) == expected
+    assert len(memo) == len(signature.cones)
+
+
+def test_cone_memo_stays_exact_past_its_bound():
+    # three times as many distinct cones as the memo holds, then the first
+    # ones again: every line must survive the clears unchanged
+    memo = _ConeMemo()
+    orders = [*range(2, 3 * _CONE_MEMO_SIZE + 2), *range(2, 50)]
+    for order in orders:
+        signature = OrbifoldSignature(order % 3, {order: order * 7, order + 1: 10**30 + order})
+        line = _signature_line(signature, memo.__getitem__)
+        assert line == json.dumps(signature.to_json(), separators=(",", ":"))
+        assert len(memo) <= _CONE_MEMO_SIZE
 
 
 def test_search_contains_base_pair_group(run):
