@@ -133,7 +133,8 @@ def _cone_json(cone: tuple[int, int]) -> str:
 
 
 # Most cones of an enumerate request repeat one already printed in it, so
-# their text is memoized, in a memo cleared whenever it holds this many.
+# their text is memoized; the memo is cleared whenever it holds this many,
+# which keeps memory flat on requests with many distinct cones.
 _CONE_MEMO_SIZE = 1024
 
 

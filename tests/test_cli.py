@@ -268,8 +268,8 @@ def test_enumerate_includes_example_pair(run):
 
 
 def test_enumerate_huge_prime_denominator_at_once(run):
-    # 1/q with q = 10**18 + 3 prime: the final pairs factor q, which took
-    # ~10**9 trial divisions before Miller-Rabin proved it prime
+    # 1/q with q = 10**18 + 3 prime: the final pairs factor q, where trial
+    # division alone would take ~10**9 steps
     q = 10**18 + 3
     start = time.process_time()  # CPU time: a loaded host must not fail the bound
     code, out, _ = run("enumerate", f"--chi-es=1/{q}")
