@@ -12,7 +12,6 @@ import argparse
 import json
 import os
 import sys
-from collections.abc import Callable
 from fractions import Fraction
 from pathlib import Path
 
@@ -39,6 +38,7 @@ from .core import (
     GammaSupportError,
     MirroredCylinder,
     OrbifoldSignature,
+    TRIVIAL_GROUP,
     chi_es,
     chi_es_mirrored,
     chi_gamma,
@@ -72,7 +72,7 @@ def parse_gamma_spec(spec: str) -> GammaDescriptor:
     """Parse a group spec: "trivial", "F_k", or "+"-joined "Z^l" / "Z/d"."""
     spec = spec.strip()
     if spec == "trivial":
-        return FgAbelian(0, ())
+        return TRIVIAL_GROUP
     if spec.startswith("F_"):
         try:
             return FreeGroup(parse_int(spec[2:], signed=False))
@@ -127,34 +127,33 @@ def _print_json(payload) -> None:
     sys.stdout.write("\n")
 
 
-def _cone_json(cone: tuple[int, int]) -> str:
-    order, count = cone
-    return f'{{"order":{order},"count":"{count}"}}'
-
-
-# Most cones of an enumerate request repeat one already printed in it, so
-# their text is memoized; the memo is cleared whenever it holds this many,
-# which keeps memory flat on requests with many distinct cones.
+# Most cones of an enumerate run repeat one already printed, so their text
+# is memoized; the memo is cleared whenever it holds this many, which keeps
+# memory flat on runs with many distinct cones.
 _CONE_MEMO_SIZE = 1024
 
 
 class _ConeMemo(dict):
-    """Cone -> _cone_json(cone), computed on first use."""
+    """Cone -> its JSON text, computed on first use."""
 
     __slots__ = ()
 
     def __missing__(self, cone: tuple[int, int]) -> str:
         if len(self) >= _CONE_MEMO_SIZE:
             self.clear()
-        text = self[cone] = _cone_json(cone)
+        order, count = cone
+        text = self[cone] = f'{{"order":{order},"count":"{count}"}}'
         return text
 
 
-def _signature_line(sig: OrbifoldSignature, cone_text: Callable[[tuple[int, int]], str]) -> str:
+_cone_text = _ConeMemo().__getitem__
+
+
+def _signature_line(sig: OrbifoldSignature) -> str:
     """``json.dumps(sig.to_json(), separators=(",", ":"))``, formatted
     directly (the pure-Python chunked encoder dominated enumerate output),
-    with each cone's text from ``cone_text``."""
-    return f'{{"genus":{sig.genus},"cones":[{",".join(map(cone_text, sig.cones))}]}}'
+    with each cone's text from the shared memo."""
+    return f'{{"genus":{sig.genus},"cones":[{",".join(map(_cone_text, sig.cones))}]}}'
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +228,9 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_enumerate(args) -> int:
     target = parse_rational(args.chi_es)
-    cone_text = _ConeMemo().__getitem__
     write = sys.stdout.write
     for sig in iter_signatures_by_chi_es(target):
-        write(_signature_line(sig, cone_text) + "\n")
+        write(_signature_line(sig) + "\n")
     return EXIT_OK
 
 
@@ -484,7 +482,7 @@ def main(argv=None) -> int:
     except InvalidSequenceError as exc:
         print(f"error: not a valid characteristic sequence: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
-    except (ValueError, KeyError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
 

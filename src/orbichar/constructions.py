@@ -13,6 +13,7 @@ raises ConstructionError.
 
 from __future__ import annotations
 
+from collections import Counter
 from math import lcm, prod
 
 from .classify import _factorize
@@ -68,15 +69,9 @@ def remove_cone_point(sig: OrbifoldSignature, order: int) -> OrbifoldSignature:
     Shifts every level-l characteristic by 1 - order**(l-1), identically in
     the level.
     """
-    count = sig.count_of(order)
-    if count == 0:
+    if sig.count_of(order) == 0:
         raise ValueError(f"no cone point of order {order} in {sig!r}")
-    cones = dict(sig.cones)
-    if count == 1:
-        del cones[order]
-    else:
-        cones[order] = count - 1
-    return OrbifoldSignature(sig.genus, cones)
+    return OrbifoldSignature(sig.genus, Counter(dict(sig.cones)) - Counter({order: 1}))
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +194,12 @@ def build_collision_pair(
         ]
         pairs = equalize_cone_counts(merged, mode=equalize)
         exponent += 1
+    # One pair is rescaled by 1 in either mode, so this only checks the mode
+    # at levels <= 2, where no merge has read it.
+    (pair,) = equalize_cone_counts(pairs, mode=equalize)
 
-    _verify_family(list(pairs[0]), level)
-    return pairs[0]
+    _verify_family(list(pair), level)
+    return pair
 
 
 # ---------------------------------------------------------------------------
@@ -224,8 +222,10 @@ def expand_family(
     characteristic value 2 - 2g - (N-1)k + (N-1)*power_sum does not depend
     on j.
     """
-    if members < 2:
-        raise ValueError(f"family size must be >= 2, got {members}")
+    if type(members) is not int or members < 2:
+        raise ValueError(f"family size must be an integer >= 2, got {members!r}")
+    if type(level) is not int or level < 0:
+        raise ValueError(f"level must be a nonnegative integer, got {level!r}")
     if a.genus != b.genus:
         raise ValueError("pair members must share one genus")
     if a.cone_count != b.cone_count:
@@ -236,15 +236,11 @@ def expand_family(
         if chi_level(a, l) != chi_level(b, l):
             raise ValueError(f"pair characteristics differ at level {l}")
 
-    cones_a = dict(a.cones)
-    cones_b = dict(b.cones)
-    for order in set(cones_a) & set(cones_b):
-        shared = min(cones_a[order], cones_b[order])
-        for cones in (cones_a, cones_b):
-            if cones[order] == shared:
-                del cones[order]
-            else:
-                cones[order] -= shared
+    cones_a = Counter(dict(a.cones))
+    cones_b = Counter(dict(b.cones))
+    shared = cones_a & cones_b
+    cones_a -= shared
+    cones_b -= shared
 
     family = []
     for j in range(1, members + 1):

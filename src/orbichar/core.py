@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import re
 from collections.abc import Mapping
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd, lcm
 from typing import Union
@@ -224,19 +224,21 @@ class Presented:
     """Finite presentation: generator names plus relator words.
 
     Relators are whitespace-separated words in the generators, each letter
-    optionally carrying an integer exponent, e.g. ``"x y x^-1 y^-1"``.
+    optionally carrying an integer exponent, e.g. ``"x y x^-1 y^-1"``;
+    ``words`` holds each one parsed into (generator index, exponent) pairs.
     """
 
     generators: tuple[str, ...]
     relators: tuple[str, ...] = ()
+    words: tuple[tuple[tuple[int, int], ...], ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "generators", tuple(self.generators))
         object.__setattr__(self, "relators", tuple(self.relators))
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("duplicate generator names")
-        for word in self.relators:
-            parse_word(word, self.generators)
+        words = tuple(parse_word(word, self.generators) for word in self.relators)
+        object.__setattr__(self, "words", words)
 
 
 GammaDescriptor = Union[FreeGroup, FgAbelian, Presented]
@@ -315,12 +317,10 @@ def abelianize(gamma: GammaDescriptor) -> FgAbelian:
         return FgAbelian(gamma.rank, ())
     if isinstance(gamma, Presented):
         n_gens = len(gamma.generators)
-        if not gamma.relators:
-            return FgAbelian(n_gens, ())
         matrix = []
-        for word in gamma.relators:
+        for word in gamma.words:
             row = [0] * n_gens
-            for index, exp in parse_word(word, gamma.generators):
+            for index, exp in word:
                 row[index] += exp
             matrix.append(row)
         diag = _diagonalize(matrix)

@@ -18,6 +18,7 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import reduce
 from math import gcd
 
 from .core import (
@@ -29,7 +30,6 @@ from .core import (
     Presented,
     chi_gamma,
     parse_int,
-    parse_word,
 )
 
 DEFAULT_HOM_BUDGET = 10**7
@@ -204,10 +204,7 @@ def group_by_name(name: str) -> FiniteGroup:
             factors.append(dihedral_group(order // 2))
         else:
             raise ValueError(f"unknown group name {part!r}")
-    group = factors[0]
-    for factor in factors[1:]:
-        group = direct_product(group, factor)
-    return group
+    return reduce(direct_product, factors)
 
 
 # ---------------------------------------------------------------------------
@@ -235,13 +232,17 @@ def enumerate_homs(
         n_gens = gamma.rank + len(gamma.torsion)
     else:
         raise TypeError(f"unsupported group descriptor: {gamma!r}")
-    cap = budget if budget is not None else int(os.environ.get(BUDGET_ENV_VAR, DEFAULT_HOM_BUDGET))
-    # Each tuple has n_gens entries; past cap.bit_length() generators any group
-    # of order >= 2 is over budget too, since 2**cap.bit_length() > cap.
-    if n_gens > cap or group.order ** min(n_gens, cap.bit_length()) > cap:
+    if budget is None:
+        try:
+            budget = parse_int(os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_HOM_BUDGET)), signed=False)
+        except ValueError as exc:
+            raise ValueError(f"{BUDGET_ENV_VAR}: {exc}") from None
+    # Each tuple has n_gens entries; past budget.bit_length() generators any
+    # group of order >= 2 is over budget too, since 2**budget.bit_length() > budget.
+    if n_gens > budget or group.order ** min(n_gens, budget.bit_length()) > budget:
         raise HomBudgetExceeded(
             f"homs on {n_gens} generators into a group of order {group.order} "
-            f"exceed the budget of {cap}"
+            f"exceed the budget of {budget}"
         )
     if group.order == 1:  # any rank up to the budget; a prefix search is quadratic in it
         return [(group.identity,) * n_gens]
@@ -254,8 +255,7 @@ def enumerate_homs(
         )
     relators_at = [[] for _ in range(n_gens)]
     if isinstance(gamma, Presented):
-        for text in gamma.relators:
-            word = parse_word(text, gamma.generators)
+        for word in gamma.words:
             relators_at[max(index for index, _ in word)].append(word)
     homs = [()]
     for options, words in zip(candidates, relators_at):
@@ -300,21 +300,17 @@ def hom_classes(
 
 
 def _partition(homs: list[tuple[int, ...]], group: FiniteGroup) -> list[HomClass]:
-    # Conjugation maps homs to homs, so the first unseen hom in sorted order
-    # is the least member of its class.
+    # enumerate_homs lists homs in lexicographic order and conjugation maps
+    # homs to homs, so the first hom not yet seen is the least of its class.
     seen: set[tuple[int, ...]] = set()
     images: dict[frozenset[int], frozenset[int]] = {}  # equal closures share one set
     classes = []
-    for rep in sorted(homs):
+    for rep in homs:
         if rep in seen:
             continue
-        orbit = set()
-        stabilizer = 0
-        for g in range(group.order):
-            conjugated = tuple(group.conjugate(g, x) for x in rep)
-            orbit.add(conjugated)
-            if conjugated == rep:
-                stabilizer += 1
+        conjugates = [tuple(group.conjugate(g, x) for x in rep) for g in range(group.order)]
+        orbit = set(conjugates)
+        stabilizer = conjugates.count(rep)
         if len(orbit) * stabilizer != group.order:
             raise RuntimeError("orbit-stabilizer mismatch in conjugacy computation")
         seen |= orbit

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orbichar.classify import char_sequence
-from orbichar.cli import _CONE_MEMO_SIZE, _ConeMemo, _cone_json, _signature_line, main
+from orbichar.cli import _CONE_MEMO_SIZE, _cone_text, _signature_line, main
 from orbichar.constructions import build_collision_pair, expand_family
 from orbichar.core import OrbifoldSignature, format_rational
 from orbichar.sectors import group_by_name
@@ -293,22 +293,22 @@ def test_enumerate_huge_prime_denominator_at_once(run):
 )
 def test_signature_line_matches_json_dumps(signature):
     expected = json.dumps(signature.to_json(), separators=(",", ":"))
-    assert _signature_line(signature, _cone_json) == expected
-    memo = _ConeMemo()
+    memo = _cone_text.__self__
+    memo.clear()
     # a miss stores the text, the second call reads it back
-    assert _signature_line(signature, memo.__getitem__) == expected
-    assert _signature_line(signature, memo.__getitem__) == expected
+    assert _signature_line(signature) == expected
+    assert _signature_line(signature) == expected
     assert len(memo) == len(signature.cones)
 
 
 def test_cone_memo_stays_exact_past_its_bound():
     # three times as many distinct cones as the memo holds, then the first
     # ones again: every line must survive the clears unchanged
-    memo = _ConeMemo()
+    memo = _cone_text.__self__
     orders = [*range(2, 3 * _CONE_MEMO_SIZE + 2), *range(2, 50)]
     for order in orders:
         signature = OrbifoldSignature(order % 3, {order: order * 7, order + 1: 10**30 + order})
-        line = _signature_line(signature, memo.__getitem__)
+        line = _signature_line(signature)
         assert line == json.dumps(signature.to_json(), separators=(",", ":"))
         assert len(memo) <= _CONE_MEMO_SIZE
 
@@ -589,6 +589,33 @@ def test_verify_scenarios_pass(run, example):
     assert code == 0
     assert "FAIL" not in out
     assert "PASS" in out
+
+
+_VERIFY_SHA256 = {
+    "sameESCsameg": "29ab27021163843804b84ebfebf12eb233a610ef639e65802aa08a9f248a18ec",
+    "sameLESC": "b6914e3f6e5b8f138a5f0e5dd4459541267a850581f31e1de7b461646fa2291b",
+    "basecase": "38c4c34bd7147dc70df8413a96046aba08f3da20b01d2e73c613dabb24648eb6",
+    "noneffective": "4729197a02168ef66ef7fe3f1ade8ade9b9f49881f737b3313dd10cd50dceba2",
+    "nonorientable": "0d408de211991e3b5d44d3368a97bc1b80c97ceff2aadad994ec6893ef139106",
+    "generaldim": "6bcafab23b24ba18e246e36930807358ad7303d3f99b176343556412b5497e00",
+}
+
+
+@pytest.mark.parametrize("example", sorted(_VERIFY_SHA256))
+def test_verify_scenario_output_is_pinned(run, example):
+    code, out, err = run("verify-paper", example)
+    assert code == 0 and err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == _VERIFY_SHA256[example]
+
+
+@pytest.mark.parametrize("value", ["1_000", "٣", " 50 ", "+9", "-5", ""])
+def test_hom_budget_variable_reads_only_ascii_digits(run, tmp_path, monkeypatch, value):
+    monkeypatch.setenv("ORBICHAR_HOM_BUDGET", value)
+    fpc = tmp_path / "fpc.json"
+    fpc.write_text('[{"subgroup":[0],"chi":2},{"subgroup":[0,1,2],"chi":2}]')
+    code, out, err = run("quotient", "--group", "C3", f"--fpc={fpc}", "--gamma", "Z")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ORBICHAR_HOM_BUDGET") and err.count("\n") == 1
 
 
 def test_outputs_are_deterministic(run):

@@ -185,9 +185,29 @@ def test_equalize_rejects_empty_and_mismatched():
         equalize_cone_counts([(sig(0, 2), sig(0, 3)), (sig(1, 2), sig(1, 3))])
 
 
+@pytest.mark.parametrize(
+    "pairs, mode, message",
+    [
+        ([(sig(0, 2), sig(0, 2, 2))], "lcm", "different cone counts"),
+        ([(sig(0), sig(0))], "lcm", "without cone points"),
+        ([(sig(0, 2), sig(0, 3)), (sig(1, 2), sig(1, 3))], "product", "one genus"),
+        ([(sig(0, 2), sig(0, 3))], "gcd", "unknown equalization mode"),
+    ],
+)
+def test_equalize_error_messages(pairs, mode, message):
+    with pytest.raises(ValueError, match=message):
+        equalize_cone_counts(pairs, mode=mode)
+
+
 # ---------------------------------------------------------------------------
 # the recursive builder
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("level, seeds", [(0, [2]), (2, [2]), (3, [2, 3])])
+def test_build_collision_pair_rejects_unknown_mode_at_every_level(level, seeds):
+    with pytest.raises(ValueError, match="unknown equalization mode 'bogus'"):
+        build_collision_pair(level, 0, seeds, equalize="bogus")
+
 
 def test_build_level_two_is_base_pair():
     assert build_collision_pair(2, 0, [2]) == base_pair(0, 2)
@@ -352,6 +372,17 @@ def test_expand_family_rejects_equal_or_mismatched_pairs():
         expand_family(first, sig(0, 3, 3, 3), 3, 1)
     with pytest.raises(ValueError, match="genus"):
         expand_family(first, OrbifoldSignature(1, {5: 2, 10: 1}), 3, 0)
+
+
+def test_expand_family_rejects_negative_level():
+    with pytest.raises(ValueError, match="level must be a nonnegative integer"):
+        expand_family(*base_pair(0, 2), 3, -1)
+
+
+@pytest.mark.parametrize("members", [2.5, "3", True])
+def test_expand_family_rejects_non_integer_members(members):
+    with pytest.raises(ValueError, match="family size must be an integer"):
+        expand_family(*base_pair(0, 2), members, 2)
 
 
 # ---------------------------------------------------------------------------

@@ -209,6 +209,16 @@ def test_presented_rejects_bad_words():
         Presented(("x",), ("x^٣",))
 
 
+def test_presented_keeps_parsed_words_out_of_equality_and_repr():
+    first = Presented(("x", "y"), ("x y x^-1 y^-1", "x^6"))
+    second = Presented(["x", "y"], ["x y x^-1 y^-1", "x^6"])
+    assert first.words == (((0, 1), (1, 1), (0, -1), (1, -1)), ((0, 6),))
+    assert first == second and hash(first) == hash(second)
+    assert repr(first) == (
+        "Presented(generators=('x', 'y'), relators=('x y x^-1 y^-1', 'x^6'))"
+    )
+
+
 def test_descriptor_equality_is_normal_form_not_isomorphism():
     assert FgAbelian(0, (2, 3)) != FgAbelian(0, (6,))
     # ... but every computation agrees on the two decompositions
