@@ -8,8 +8,9 @@ untraced) and then the tier-1 test command, and writes `BENCH_<pr>.json`
 at the root: each workload's end-to-end metrics with `correct`,
 `attempted`, `failed`, and the percentile and sample count behind
 `latency_tail_ms`; the tier-1 wall time and outcome, the total line
-count of `src/orbichar/*.py` (`src_lines`), the Python version, the CPU
-count and the git SHA of the checkout. Standard library only; nothing
+count of `src/orbichar/*.py` (`src_lines`) and each module's share of it
+(`src_lines_by_module`), the Python version, the CPU count and the git
+SHA of the checkout. Standard library only; nothing
 under `perfbench/` is changed.
 """
 
@@ -51,12 +52,12 @@ def run_workload(command: list[str], workload: str, seconds: float) -> dict:
     }
 
 
-def src_lines() -> int:
-    total = 0
-    for path in glob.glob(os.path.join(ROOT, "src", "orbichar", "*.py")):
+def src_lines_by_module() -> dict[str, int]:
+    counts = {}
+    for path in sorted(glob.glob(os.path.join(ROOT, "src", "orbichar", "*.py"))):
         with open(path, encoding="utf-8") as handle:
-            total += sum(1 for _ in handle)
-    return total
+            counts[os.path.basename(path)[: -len(".py")]] = sum(1 for _ in handle)
+    return counts
 
 
 def run_tier1() -> dict:
@@ -76,6 +77,7 @@ def main(argv: list[str]) -> int:
     with open(os.path.join(ROOT, "BENCHMARK.json"), encoding="utf-8") as handle:
         spec = json.load(handle)
     seconds = spec["run_seconds"]
+    by_module = src_lines_by_module()
     record = {
         "pr": int(argv[0]),
         "git_sha": _git("rev-parse", "HEAD"),
@@ -84,7 +86,8 @@ def main(argv: list[str]) -> int:
         "nproc": os.cpu_count(),
         "seed": SEED,
         "run_seconds": seconds,
-        "src_lines": src_lines(),
+        "src_lines": sum(by_module.values()),
+        "src_lines_by_module": by_module,
         "workloads": {},
     }
     for workload in spec["workloads"]:

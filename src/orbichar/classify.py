@@ -17,7 +17,7 @@ from itertools import combinations_with_replacement, count
 from math import gcd, lcm
 from typing import Iterator, Sequence, Union
 
-from .core import OrbifoldSignature, chi_level
+from .core import OrbifoldSignature, check_int, check_rational, chi_level
 
 
 class InvalidSequenceError(ValueError):
@@ -36,9 +36,7 @@ ReconstructResult = Union[OrbifoldSignature, InsufficientData]
 
 def char_sequence(sig: OrbifoldSignature, length: int) -> list[Fraction]:
     """Characteristic values at levels 0..length, as exact Fractions."""
-    if length < 0:
-        raise ValueError(f"length must be nonnegative, got {length}")
-    return [chi_level(sig, l) for l in range(length + 1)]
+    return [chi_level(sig, l) for l in range(check_int(length, "length", 0) + 1)]
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +130,7 @@ def reconstruct(values: Sequence[Fraction | int]) -> ReconstructResult:
     InvalidSequenceError when no signature at all can match.  A candidate is
     only ever returned after its full sequence reproduces the input.
     """
-    values = [Fraction(v) for v in values]
+    values = [check_rational(v, "sequence value") for v in values]
     if len(values) < 2:
         raise InvalidSequenceError("need at least the level-0 and level-1 values")
     top = values[1]
@@ -370,9 +368,7 @@ def iter_signatures_by_chi_es(target: Fraction | int) -> Iterator[OrbifoldSignat
     by 2 - 2g >= target, then the cone count, then each order in turn
     through the exact remaining-sum window.
     """
-    if isinstance(target, bool) or not isinstance(target, (int, Fraction)):
-        raise ValueError(f"target must be an int or Fraction, got {target!r}")
-    target = Fraction(target)
+    target = check_rational(target, "target")
     genus = 0
     while Fraction(2 - 2 * genus) >= target:
         count_cap_twice = 2 * (Fraction(2 - 2 * genus) - target)
@@ -420,8 +416,10 @@ def search_collisions(
     group's values are its members' char_sequence.  Windows are visited in
     canonical order, so groups and their members come out sorted.
     """
-    if min(genus_max, count_max, order_max, level) < 0:
-        raise ValueError("all bounds must be nonnegative")
+    check_int(genus_max, "genus_max", 0)
+    check_int(count_max, "count_max", 0)
+    check_int(order_max, "order_max", 0)
+    check_int(level, "level", 0)
     den = lcm(*range(2, order_max + 1))
     terms = {
         m: (den // m - den, *(m**e - 1 for e in range(level))) for m in range(2, order_max + 1)

@@ -127,6 +127,13 @@ def _print_json(payload) -> None:
     sys.stdout.write("\n")
 
 
+def _print_value(value, as_json: bool) -> None:
+    if as_json:
+        _print_json({"value": format_rational(value)})
+    else:
+        print(format_rational(value))
+
+
 # Most cones of an enumerate run repeat one already printed, so their text
 # is memoized; the memo is cleared whenever it holds this many, which keeps
 # memory flat on runs with many distinct cones.
@@ -175,10 +182,7 @@ def cmd_chi(args) -> int:
         value = chi_gamma(sig, parse_gamma_spec(args.gamma))
     else:
         value = chi_es(sig)
-    if args.json:
-        _print_json({"value": format_rational(value)})
-    else:
-        print(format_rational(value))
+    _print_value(value, args.json)
     return EXIT_OK
 
 
@@ -253,11 +257,7 @@ def cmd_search(args) -> int:
 def cmd_quotient(args) -> int:
     group = load_group(args.group)
     fixed = FixedPointCharacter.from_json(_parse_json(Path(args.fpc).read_text(encoding="utf-8")))
-    value = chi_gamma_quotient(group, fixed, parse_gamma_spec(args.gamma))
-    if args.json:
-        _print_json({"value": format_rational(value)})
-    else:
-        print(format_rational(value))
+    _print_value(chi_gamma_quotient(group, fixed, parse_gamma_spec(args.gamma)), args.json)
     return EXIT_OK
 
 

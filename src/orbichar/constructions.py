@@ -21,6 +21,7 @@ from .core import (
     GammaDescriptor,
     OrbifoldSignature,
     abelianize,
+    check_int,
     chi_gamma,
     chi_level,
     power_sum,
@@ -40,18 +41,14 @@ Pair = tuple[OrbifoldSignature, OrbifoldSignature]
 
 def scale(sig: OrbifoldSignature, s: int) -> OrbifoldSignature:
     """Multiply every cone order by s (genus and multiplicities unchanged)."""
-    if type(s) is not int or s < 1:
-        raise ValueError(f"scale factor must be a positive integer, got {s!r}")
-    if s == 1:
+    if check_int(s, "scale factor", 1) == 1:
         return sig
     return OrbifoldSignature(sig.genus, [(s * order, count) for order, count in sig.cones])
 
 
 def repeat(sig: OrbifoldSignature, t: int) -> OrbifoldSignature:
     """Multiply every cone multiplicity by t; equals the t-fold self-combine."""
-    if type(t) is not int or t < 1:
-        raise ValueError(f"repeat factor must be a positive integer, got {t!r}")
-    if t == 1:
+    if check_int(t, "repeat factor", 1) == 1:
         return sig
     return OrbifoldSignature(sig.genus, [(order, t * count) for order, count in sig.cones])
 
@@ -85,9 +82,7 @@ def base_pair(genus: int, seed: int) -> Pair:
     Sigma_g(q+2, q^2+2q, q^2+2q) for q = seed; both have characteristics
     1/q - 1 - 2g, 2 - 2g, and 1 - 2g + 5q + 2q^2 at levels 0, 1, 2.
     """
-    if type(seed) is not int or seed < 2:
-        raise ValueError(f"seed must be an integer >= 2, got {seed!r}")
-    q = seed
+    q = check_int(seed, "seed", 2)
     first = OrbifoldSignature(genus, [(2 * q + 1, 2), (2 * q * q + q, 1)])
     second = OrbifoldSignature(genus, [(q + 2, 1), (q * q + 2 * q, 2)])
     return first, second
@@ -174,11 +169,8 @@ def build_collision_pair(
     across the surviving pairs after each level.  The returned pair is
     verified (distinctness plus characteristic equality) before returning.
     """
-    if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
-    seeds = sorted(seeds)
-    if any(type(s) is not int or s < 2 for s in seeds):
-        raise ValueError("seeds must be integers >= 2")
+    check_int(level, "level", 0)
+    seeds = sorted(check_int(s, "seed", 2) for s in seeds)
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
     needed = 1 if level <= 2 else 2 ** (level - 2)
@@ -222,10 +214,8 @@ def expand_family(
     characteristic value 2 - 2g - (N-1)k + (N-1)*power_sum does not depend
     on j.
     """
-    if type(members) is not int or members < 2:
-        raise ValueError(f"family size must be an integer >= 2, got {members!r}")
-    if type(level) is not int or level < 0:
-        raise ValueError(f"level must be a nonnegative integer, got {level!r}")
+    check_int(members, "family size", 2)
+    check_int(level, "level", 0)
     if a.genus != b.genus:
         raise ValueError("pair members must share one genus")
     if a.cone_count != b.cone_count:
@@ -270,13 +260,12 @@ def prime_avoiding_seeds(primes, count: int = 1) -> list[int]:
     Each seed q is -1 modulo every given prime, hence q, 2q+1 and q+2 (and
     so also the base-pair orders q(2q+1) and q(q+2)) avoid all of them.
     """
-    primes = sorted(set(primes))
+    primes = sorted({check_int(p, "prime", 2) for p in primes})
     if not primes:
         raise ValueError("prime set must be nonempty")
-    if any(p < 2 or _factorize(p) != {p: 1} for p in primes):
+    if any(_factorize(p) != {p: 1} for p in primes):
         raise ValueError(f"not a set of primes: {primes}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    check_int(count, "count", 1)
     step = 2 * prod(primes)
     seeds = [j * step - 1 for j in range(1, count + 1)]
     for q in seeds:
@@ -326,12 +315,10 @@ def same_level_family(order: int, level: int, count: int) -> list[OrbifoldSignat
     and k cone points of the given odd order, making
     2 - 2g - k + k*order**(level-1) collapse to 2 identically.
     """
-    if order % 2 == 0 or order < 3:
-        raise ValueError(f"order must be odd and >= 3, got {order}")
-    if level < 2:
-        raise ValueError(f"level must be >= 2, got {level}")
-    if count < 1:
-        raise ValueError(f"count must be >= 1, got {count}")
+    if check_int(order, "order", 3) % 2 == 0:
+        raise ValueError(f"order must be odd, got {order}")
+    check_int(level, "level", 2)
+    check_int(count, "count", 1)
     family = []
     for k in range(1, 2 * count, 2):
         genus = k * (order ** (level - 1) - 1) // 2

@@ -52,6 +52,25 @@ def parse_int(text: str, signed: bool = True) -> int:
     return int(text)
 
 
+_KINDS = {None: "an integer", 0: "a nonnegative integer", 1: "a positive integer"}
+
+
+def check_int(value, name: str, minimum: int | None = None) -> int:
+    """``value`` itself if it is an int (a bool is not) and not below
+    ``minimum``: the rule of parse_int, for values instead of text."""
+    if type(value) is not int or (minimum is not None and value < minimum):
+        kind = _KINDS.get(minimum, f"an integer >= {minimum}")
+        raise ValueError(f"{name} must be {kind}, got {value!r}")
+    return value
+
+
+def check_rational(value, name: str) -> Fraction:
+    """``value`` as a Fraction if it is an int (a bool is not) or a Fraction."""
+    if isinstance(value, bool) or not isinstance(value, (int, Fraction)):
+        raise ValueError(f"{name} must be an int or Fraction, got {value!r}")
+    return Fraction(value)
+
+
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "/" in text:
@@ -82,16 +101,12 @@ class OrbifoldSignature:
     cones: tuple[tuple[int, int], ...] = ()
 
     def __post_init__(self):
-        if type(self.genus) is not int or self.genus < 0:
-            raise ValueError(f"genus must be a nonnegative integer, got {self.genus!r}")
+        check_int(self.genus, "genus", 0)
         merged: dict[int, int] = {}
         cones = self.cones
         for order, count in cones.items() if isinstance(cones, Mapping) else cones:
-            if type(order) is not int or order < 2:
-                raise ValueError(f"cone order must be an integer >= 2, got {order!r}")
-            if type(count) is not int or count < 1:
-                raise ValueError(f"cone count must be a positive integer, got {count!r}")
-            merged[order] = merged.get(order, 0) + count
+            check_int(order, "cone order", 2)
+            merged[order] = merged.get(order, 0) + check_int(count, "cone count", 1)
         object.__setattr__(self, "cones", tuple(sorted(merged.items())))
 
     @classmethod
@@ -191,8 +206,7 @@ class FreeGroup:
     rank: int
 
     def __post_init__(self):
-        if type(self.rank) is not int or self.rank < 0:
-            raise ValueError(f"rank must be a nonnegative integer, got {self.rank!r}")
+        check_int(self.rank, "rank", 0)
 
 
 @dataclass(frozen=True, slots=True)
@@ -210,12 +224,8 @@ class FgAbelian:
     torsion: tuple[int, ...] = ()
 
     def __post_init__(self):
-        if type(self.rank) is not int or self.rank < 0:
-            raise ValueError(f"rank must be a nonnegative integer, got {self.rank!r}")
-        torsion = tuple(sorted(self.torsion))
-        for d in torsion:
-            if type(d) is not int or d < 2:
-                raise ValueError(f"torsion coefficient must be an integer >= 2, got {d!r}")
+        check_int(self.rank, "rank", 0)
+        torsion = tuple(sorted(check_int(d, "torsion coefficient", 2) for d in self.torsion))
         object.__setattr__(self, "torsion", torsion)
 
 
@@ -337,8 +347,7 @@ def hom_count_cyclic(gamma: GammaDescriptor, m: int) -> int:
     For Z^l plus torsion factors Z/d the count is m^l times the product of
     gcd(d, m); the gcd factors do not depend on the chosen decomposition.
     """
-    if m < 1:
-        raise ValueError(f"modulus must be >= 1, got {m}")
+    check_int(m, "modulus", 1)
     ab = abelianize(gamma)
     count = m ** ab.rank
     for d in ab.torsion:
@@ -360,7 +369,7 @@ def power_sum(sig: OrbifoldSignature, exponent: int) -> Fraction:
 
     ``exponent`` -1 means the exact rational 1/order.
     """
-    if exponent >= 0:
+    if check_int(exponent, "exponent") >= 0:
         return Fraction(sum(count * order ** exponent for order, count in sig.cones))
     # One common denominator: a Fraction sum would reduce after every term.
     powers = [order ** -exponent for order, _ in sig.cones]
@@ -375,8 +384,7 @@ def chi_level(sig: OrbifoldSignature, level: int) -> Fraction:
     1/order exactly); level 1 recovers chi_top; every level >= 1 value is an
     integer.  Returned as an exact Fraction in all cases.
     """
-    if level < 0:
-        raise ValueError(f"level must be nonnegative, got {level}")
+    check_int(level, "level", 0)
     return Fraction(2 - 2 * sig.genus - sig.cone_count) + power_sum(sig, level - 1)
 
 
@@ -408,7 +416,7 @@ def chi_gamma_times_manifold(
     The characteristic is multiplicative, so this is chi_gamma times the
     Euler characteristic of the manifold factor.
     """
-    return chi_gamma(sig, gamma) * manifold_chi
+    return chi_gamma(sig, gamma) * check_int(manifold_chi, "manifold_chi")
 
 
 def is_diffeomorphic(a, b) -> bool:
@@ -443,10 +451,8 @@ class MirroredCylinder:
 
     def __post_init__(self):
         for attr in ("boundary0", "boundary1"):
-            orders = tuple(sorted(getattr(self, attr)))
+            orders = tuple(sorted(check_int(n, "corner order", 2) for n in getattr(self, attr)))
             for n in orders:
-                if type(n) is not int or n < 2:
-                    raise ValueError(f"corner order must be an integer >= 2, got {n!r}")
                 if n % 2 == 0:
                     raise ValueError(f"corner order must be odd, got {n}")
             object.__setattr__(self, attr, orders)

@@ -28,6 +28,7 @@ from .core import (
     MirroredCylinder,
     OrbifoldSignature,
     Presented,
+    check_int,
     chi_gamma,
     parse_int,
 )
@@ -154,17 +155,14 @@ class FiniteGroup:
 
 def cyclic_group(n: int) -> FiniteGroup:
     """Z/nZ; element i is the i-th power of the generator."""
-    if n < 1:
-        raise ValueError(f"order must be >= 1, got {n}")
+    check_int(n, "order", 1)
     return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
 
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: indices 0..n-1 are the rotations r^i,
     indices n..2n-1 are the reflections s*r^i."""
-    if n < 1:
-        raise ValueError(f"rotation count must be >= 1, got {n}")
-    size = 2 * n
+    size = 2 * check_int(n, "rotation count", 1)
     table = [[0] * size for _ in range(size)]
     for i in range(n):
         for j in range(n):
@@ -222,7 +220,8 @@ def enumerate_homs(
     before it (and x**d = e at a torsion generator of order d); a relator is
     checked as soon as its highest generator has an image.  Homs come in
     lexicographic order.  The search space |G|**generators and the number of
-    generators are capped by the budget (parameter, ORBICHAR_HOM_BUDGET, or 10**7).
+    generators are capped by the budget: the parameter, a nonnegative int;
+    else ORBICHAR_HOM_BUDGET, nonnegative decimal digits; else 10**7.
     """
     if isinstance(gamma, Presented):
         n_gens = len(gamma.generators)
@@ -237,6 +236,8 @@ def enumerate_homs(
             budget = parse_int(os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_HOM_BUDGET)), signed=False)
         except ValueError as exc:
             raise ValueError(f"{BUDGET_ENV_VAR}: {exc}") from None
+    else:
+        check_int(budget, "budget", 0)
     # Each tuple has n_gens entries; past budget.bit_length() generators any
     # group of order >= 2 is over budget too, since 2**budget.bit_length() > budget.
     if n_gens > budget or group.order ** min(n_gens, budget.bit_length()) > budget:
@@ -430,9 +431,8 @@ def rotation_sphere_action(n: int, step: int) -> tuple[FiniteGroup, FixedPointCh
     kernel of the action) or exactly the two poles; the fixed-set Euler
     characteristic is 2 in both cases, recorded for every subgroup of Z/n.
     """
-    if n < 1:
-        raise ValueError(f"group order must be >= 1, got {n}")
-    if not 1 <= step < n:
+    check_int(n, "group order", 1)
+    if not 1 <= check_int(step, "rotation step") < n:
         raise ValueError(f"rotation step must satisfy 1 <= step < {n}, got {step}")
     group = cyclic_group(n)
     chars = {}
@@ -444,7 +444,8 @@ def rotation_sphere_action(n: int, step: int) -> tuple[FiniteGroup, FixedPointCh
 
 def rotation_kernel(n: int, step: int) -> frozenset[int]:
     """Subgroup of Z/n acting trivially under rotation by 2*pi*step/n."""
-    if not 1 <= step < n:
+    check_int(n, "group order", 1)
+    if not 1 <= check_int(step, "rotation step") < n:
         raise ValueError(f"rotation step must satisfy 1 <= step < {n}, got {step}")
     period = n // gcd(n, step)
     return frozenset(range(0, n, period))

@@ -279,6 +279,13 @@ def test_enumerate_rejects_targets_that_are_not_rationals(target):
         next(iter_signatures_by_chi_es(target))
 
 
+@pytest.mark.parametrize("values", [[-0.5, 2, float("inf")], ["1/2", 2], [2.0, 2.0]])
+def test_reconstruct_takes_exact_values_only(values):
+    # a float or a string is refused, never converted
+    with pytest.raises(ValueError, match="sequence value must be an int or Fraction"):
+        reconstruct(values)
+
+
 def test_iterator_is_streaming_and_ordered():
     from itertools import islice
 

@@ -1,5 +1,6 @@
 """Core formulas, types, and serialization."""
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -15,19 +16,30 @@ from orbichar import (
     Presented,
     TRIVIAL_GROUP,
     abelianize,
+    build_collision_pair,
+    char_sequence,
     chi_es,
     chi_es_mirrored,
     chi_gamma,
     chi_gamma_times_manifold,
     chi_level,
     chi_top,
+    cyclic_group,
+    dihedral_group,
+    enumerate_homs,
     format_rational,
     hom_count_cyclic,
     is_diffeomorphic,
     parse_rational,
     parse_signature,
     power_sum,
+    prime_avoiding_seeds,
+    rotation_kernel,
+    rotation_sphere_action,
+    same_level_family,
+    search_collisions,
 )
+from orbichar.core import check_int
 
 
 def sig(genus, *orders):
@@ -274,6 +286,61 @@ def test_signature_rejects_booleans(build):
 def test_descriptors_and_factors_reject_booleans(build):
     with pytest.raises(ValueError):
         build()
+
+
+@pytest.mark.parametrize(
+    "minimum, kind",
+    [
+        (None, "an integer"),
+        (0, "a nonnegative integer"),
+        (1, "a positive integer"),
+        (2, "an integer >= 2"),
+        (-3, "an integer >= -3"),
+    ],
+)
+def test_check_int_names_the_argument_and_its_kind(minimum, kind):
+    assert check_int(7, "x", minimum) == 7
+    for bad in (True, 7.0, "7", None, *(() if minimum is None else (minimum - 1,))):
+        with pytest.raises(ValueError, match=f"^x must be {kind}, got {re.escape(repr(bad))}$"):
+            check_int(bad, "x", minimum)
+
+
+# Each integer argument refuses a float, a bool or a value below its minimum
+# with a ValueError that names it.
+@pytest.mark.parametrize(
+    "call, bad, name",
+    [
+        (lambda v: chi_level(sig(0, 3), v), 1.5, "level"),
+        (lambda v: power_sum(sig(0, 3), v), 0.5, "exponent"),
+        (lambda v: hom_count_cyclic(FgAbelian(2), v), 2.5, "modulus"),
+        (lambda v: chi_gamma_times_manifold(sig(0, 3), FgAbelian(1), v), 1.5, "manifold_chi"),
+        (lambda v: build_collision_pair(v, 0, [3]), 1.5, "level"),
+        (lambda v: build_collision_pair(v, 0, [3]), True, "level"),
+        (lambda v: build_collision_pair(2, 0, [v]), 3.0, "seed"),
+        (lambda v: prime_avoiding_seeds([v]), 3.0, "prime"),
+        (lambda v: prime_avoiding_seeds([3], v), 1.5, "count"),
+        (lambda v: same_level_family(v, 2, 1), 3.0, "order"),
+        (lambda v: same_level_family(3, v, 1), 2.5, "level"),
+        (lambda v: same_level_family(3, 2, v), 1.5, "count"),
+        (lambda v: char_sequence(sig(0, 3), v), 1.5, "length"),
+        (lambda v: search_collisions(v, 1, 3, 1), 1.0, "genus_max"),
+        (lambda v: search_collisions(1, v, 3, 1), 1.0, "count_max"),
+        (lambda v: search_collisions(1, 1, v, 1), 3.0, "order_max"),
+        (lambda v: search_collisions(1, 1, 3, v), 1.0, "level"),
+        (lambda v: cyclic_group(v), 2.5, "order"),
+        (lambda v: dihedral_group(v), 2.5, "rotation count"),
+        (lambda v: rotation_sphere_action(v, 1), 6.0, "group order"),
+        (lambda v: rotation_sphere_action(6, v), 1.5, "rotation step"),
+        (lambda v: rotation_kernel(v, 1), 6.0, "group order"),
+        (lambda v: rotation_kernel(6, v), 1.5, "rotation step"),
+        (lambda v: enumerate_homs(FgAbelian(1), cyclic_group(2), budget=v), -5, "budget"),
+        (lambda v: enumerate_homs(FgAbelian(1), cyclic_group(2), budget=v), 2.5, "budget"),
+        (lambda v: enumerate_homs(FgAbelian(1), cyclic_group(2), budget=v), True, "budget"),
+    ],
+)
+def test_integer_arguments_refuse_other_values_by_name(call, bad, name):
+    with pytest.raises(ValueError, match=f"^{name} must be .*, got {re.escape(repr(bad))}$"):
+        call(bad)
 
 
 def test_signature_is_immutable_and_hashable():
