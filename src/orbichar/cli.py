@@ -157,10 +157,15 @@ _cone_text = _ConeMemo().__getitem__
 
 
 def _signature_line(sig: OrbifoldSignature) -> str:
-    """``json.dumps(sig.to_json(), separators=(",", ":"))``, formatted
-    directly (the pure-Python chunked encoder dominated enumerate output),
+    """A signature's compact JSON document, formatted directly (the
+    pure-Python chunked encoder dominated enumerate and search output),
     with each cone's text from the shared memo."""
     return f'{{"genus":{sig.genus},"cones":[{",".join(map(_cone_text, sig.cones))}]}}'
+
+
+def _rational_list(values) -> str:
+    """The JSON list of "p/q" strings for exact values."""
+    return "[" + ",".join(f'"{format_rational(v)}"' for v in values) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -199,7 +204,7 @@ def cmd_construct(args) -> int:
     digits = {count: str(count) for count in {count for sig in family for _, count in sig.cones}}
     # The builders verified the family (distinct members, equal values at
     # levels 0..level), so one sequence stands for every member.
-    sequence = "[" + ",".join(f'"{format_rational(v)}"' for v in char_sequence(family[0], level)) + "]"
+    sequence = _rational_list(char_sequence(family[0], level))
     # The json.dumps(..., separators=(",", ":")) document, written piece by
     # piece: no string is built around the (possibly huge) count digits.
     write = sys.stdout.write
@@ -226,7 +231,7 @@ def cmd_reconstruct(args) -> int:
     if isinstance(result, InsufficientData):
         _print_json({"status": "insufficient-data", "reason": result.reason})
     else:
-        _print_json(result.to_json())
+        sys.stdout.write(_signature_line(result) + "\n")
     return EXIT_OK
 
 
@@ -242,15 +247,13 @@ def cmd_search(args) -> int:
     groups = search_collisions(
         *(parse_int(text) for text in (args.genus_max, args.count_max, args.order_max, args.level))
     )
-    _print_json(
-        [
-            {
-                "values": [format_rational(v) for v in group.values],
-                "signatures": [sig.to_json() for sig in group.signatures],
-            }
-            for group in groups
-        ]
-    )
+    # One write per group: the whole document as one string costs peak RSS.
+    write = sys.stdout.write
+    write("[")
+    for i, group in enumerate(groups):
+        signatures = ",".join(map(_signature_line, group.signatures))
+        write(f'{"," if i else ""}{{"values":{_rational_list(group.values)},"signatures":[{signatures}]}}')
+    write("]\n")
     return EXIT_OK
 
 
@@ -305,25 +308,8 @@ def _scenario_base_pairs() -> list[tuple[bool, str]]:
     return checks
 
 
-_QUOTIENT_BATTERY: tuple[tuple[str, GammaDescriptor], ...] = (
-    ("trivial", FgAbelian(0)),
-    ("Z", FgAbelian(1)),
-    ("Z^2", FgAbelian(2)),
-    ("Z^3", FgAbelian(3)),
-    ("Z/2", FgAbelian(0, (2,))),
-    ("Z/6", FgAbelian(0, (6,))),
-    ("Z+Z/4", FgAbelian(1, (4,))),
-)
-
-_MIRRORED_BATTERY: tuple[tuple[str, GammaDescriptor], ...] = (
-    ("trivial", FgAbelian(0)),
-    ("Z", FgAbelian(1)),
-    ("Z^2", FgAbelian(2)),
-    ("Z^3", FgAbelian(3)),
-    ("Z/2", FgAbelian(0, (2,))),
-    ("Z/3", FgAbelian(0, (3,))),
-    ("Z+Z/2", FgAbelian(1, (2,))),
-)
+_QUOTIENT_BATTERY = ("trivial", "Z", "Z^2", "Z^3", "Z/2", "Z/6", "Z+Z/4")
+_MIRRORED_BATTERY = ("trivial", "Z", "Z^2", "Z^3", "Z/2", "Z/3", "Z+Z/2")
 
 
 def _scenario_noneffective() -> list[tuple[bool, str]]:
@@ -340,7 +326,8 @@ def _scenario_noneffective() -> list[tuple[bool, str]]:
             "six classes of Z-sectors, each contributing 1/3",
         )
     )
-    for name, gamma in _QUOTIENT_BATTERY:
+    for name in _QUOTIENT_BATTERY:
+        gamma = parse_gamma_spec(name)
         lhs = chi_gamma_quotient(*effective, gamma)
         rhs = chi_gamma_quotient(*noneffective, gamma)
         checks.append((lhs == rhs, f"gamma={name}: both actions give {format_rational(lhs)}"))
@@ -365,7 +352,8 @@ def _scenario_nonorientable() -> list[tuple[bool, str]]:
         )
     )
     checks.append((not is_diffeomorphic(first, second), "boundary multisets distinguish them"))
-    for name, gamma in _MIRRORED_BATTERY:
+    for name in _MIRRORED_BATTERY:
+        gamma = parse_gamma_spec(name)
         lhs = chi_gamma_mirrored(first, gamma)
         rhs = chi_gamma_mirrored(second, gamma)
         checks.append((lhs == rhs, f"gamma={name}: both cylinders give {format_rational(lhs)}"))

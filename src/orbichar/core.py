@@ -71,6 +71,13 @@ def check_rational(value, name: str) -> Fraction:
     return Fraction(value)
 
 
+def json_field(obj: dict, name: str, kind: str):
+    """``obj[name]``, or a ValueError naming the field a ``kind`` document lacks."""
+    if name not in obj:
+        raise ValueError(f"{kind} JSON has no {name!r} field")
+    return obj[name]
+
+
 def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "/" in text:
@@ -172,8 +179,9 @@ class OrbifoldSignature:
         cones = []
         for entry in entries:
             count = entry["count"]
-            cones.append((entry["order"], parse_int(count) if isinstance(count, str) else count))
-        return cls(obj["genus"], cones)
+            order = json_field(entry, "order", "signature cone")
+            cones.append((order, parse_int(count) if isinstance(count, str) else count))
+        return cls(json_field(obj, "genus", "signature"), cones)
 
 
 def parse_signature(text: str) -> OrbifoldSignature:

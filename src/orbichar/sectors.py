@@ -30,6 +30,7 @@ from .core import (
     Presented,
     check_int,
     chi_gamma,
+    json_field,
     parse_int,
 )
 
@@ -144,7 +145,7 @@ class FiniteGroup:
     def from_json(cls, obj: dict) -> "FiniteGroup":
         if not isinstance(obj, dict):
             raise ValueError("group JSON must be an object")
-        table = obj["table"]
+        table = json_field(obj, "table", "group")
         if not isinstance(table, list) or not all(isinstance(row, list) for row in table):
             raise ValueError("group table must be a list of rows")
         order = obj.get("order", len(table))

@@ -81,14 +81,30 @@ def test_chi_malformed_signature_exits_2(run):
     assert err
 
 
+# documents that lack a required field, and the field the error must name
+_MISSING_FIELD = {
+    '{"cones":[]}': "genus",
+    '{"genus":0,"cones":[{"count":1}]}': "order",
+    '{"order":1}': "table",
+}
+
+
 @pytest.mark.parametrize(
     "document",
-    ['{"genus":0,"cones":5}', '{"genus":0,"cones":[5]}', '{"genus":0,"cones":[{"order":3,"count":null}]}'],
+    [
+        '{"genus":0,"cones":5}',
+        '{"genus":0,"cones":[5]}',
+        '{"genus":0,"cones":[{"order":3,"count":null}]}',
+        '{"cones":[]}',
+        '{"genus":0,"cones":[{"count":1}]}',
+    ],
 )
 def test_chi_malformed_json_signature_exits_2(run, document):
     code, _, err = run("chi", "--sig", document)
     assert code == 2
     assert err.startswith("error:") and err.count("\n") == 1
+    if document in _MISSING_FIELD:
+        assert f"no {_MISSING_FIELD[document]!r} field" in err
 
 
 def test_chi_non_object_signature_file_exits_2(run, tmp_path):
@@ -320,6 +336,31 @@ def test_search_contains_base_pair_group(run):
     assert any(group["values"] == ["-1/2", "2", "19"] for group in groups)
 
 
+# stdout of the json.dump emission that search and reconstruct printed first
+_DOCUMENT_SHA256 = {
+    "search --g-max=1 --k-max=4 --m-max=10 --L=2": (
+        "9b56d7a3b5f0b3aa1d0fa73fb7e05b6754a9fa6162aec43799431aaf99e25d1b"
+    ),
+    "search --g-max=0 --k-max=3 --m-max=10 --L=2": (
+        "b709e98551f94729511cddc1f4f6c719e61dda7d67355dc25090b203d94eea93"
+    ),
+    "search --g-max=1 --k-max=4 --m-max=12 --L=3": hashlib.sha256(b"[]\n").hexdigest(),
+    "reconstruct --seq=-1/2,2,19,149,1249,11249": (
+        "1357079199ef6d671c5346d880173c06284cc478dde35d801c1c429a4e123c94"
+    ),
+    "reconstruct --seq=-1/2,2,19": (
+        "5115dc779054a67d53ac3ed9e06bee762c7ed5d340ed0c5ddff7496dbc257885"
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_DOCUMENT_SHA256))
+def test_search_and_reconstruct_output_is_pinned(run, command):
+    code, out, err = run(*command.split())
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode()).hexdigest() == _DOCUMENT_SHA256[command]
+
+
 def test_quotient_builtin_group(run, tmp_path):
     fpc = tmp_path / "fpc.json"
     subgroups = [[0], [0, 3], [0, 2, 4], [0, 1, 2, 3, 4, 5]]
@@ -372,6 +413,7 @@ def test_quotient_conjugation_variant_data_exits_2(run, tmp_path):
         ("--group", '{"table":[[false]]}'),
         ("--group", '{"order":true,"table":[[0]]}'),
         ("--group", '{"order":1.0,"table":[[0]]}'),
+        ("--group", '{"order":1}'),
     ],
 )
 def test_quotient_malformed_document_exits_2(run, tmp_path, option, document):
@@ -383,6 +425,8 @@ def test_quotient_malformed_document_exits_2(run, tmp_path, option, document):
     code, out, err = run("quotient", *(x for pair in files.items() for x in pair), "--gamma", "Z")
     assert (code, out) == (2, "")
     assert err.startswith("error:") and err.count("\n") == 1
+    if document in _MISSING_FIELD:
+        assert f"no {_MISSING_FIELD[document]!r} field" in err
 
 
 _KEYS = st.sampled_from(["genus", "cones", "order", "count", "table", "subgroup", "chi"])
