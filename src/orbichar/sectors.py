@@ -19,7 +19,7 @@ import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import reduce
-from math import gcd
+from math import gcd, prod
 
 from .core import (
     FgAbelian,
@@ -38,8 +38,20 @@ DEFAULT_HOM_BUDGET = 10**7
 BUDGET_ENV_VAR = "ORBICHAR_HOM_BUDGET"
 
 
+def _resolve_budget(budget: int | None = None) -> int:
+    """The budget of enumerate_homs and group_by_name: the parameter, else
+    ORBICHAR_HOM_BUDGET, else 10**7."""
+    if budget is not None:
+        return check_int(budget, "budget", 0)
+    try:
+        return parse_int(os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_HOM_BUDGET)), signed=False)
+    except ValueError as exc:
+        raise ValueError(f"{BUDGET_ENV_VAR}: {exc}") from None
+
+
 class HomBudgetExceeded(RuntimeError):
-    """Hom enumeration would exceed the configured table-lookup budget."""
+    """Hom enumeration, or a builtin group's table, would exceed the
+    configured table-lookup budget."""
 
 
 class FixedPointDataError(KeyError):
@@ -55,7 +67,9 @@ class FiniteGroup:
     """Explicit finite group: elements 0..order-1 with a multiplication table.
 
     The table is validated on construction (closure, identity, inverses,
-    associativity) and immutable afterwards.
+    associativity) and immutable afterwards.  Associativity is checked
+    over a generating set S only (Light's test), at cost order**2 * |S|,
+    and |S| <= log2(order) for a group.
     """
 
     table: tuple[tuple[int, ...], ...]
@@ -87,8 +101,16 @@ class FiniteGroup:
                     break
             if inverse[a] is None:
                 raise ValueError(f"element {a} has no inverse")
-        for a in range(order):
-            for b in range(order):
+        # Light's test: the b with (ab)c = a(bc) for every a and c hold the
+        # identity and are closed under the product, so checking b over a
+        # set that reaches every element from the identity covers every b.
+        generators, reached = [], {identity}
+        for x in range(order):
+            if x not in reached:
+                generators.append(x)
+                reached = _right_closure(rows, identity, generators)
+        for b in generators:
+            for a in range(order):
                 ab = rows[a][b]
                 for c in range(order):
                     if rows[ab][c] != rows[a][rows[b][c]]:
@@ -124,19 +146,7 @@ class FiniteGroup:
         subgroup, so a breadth-first closure under right multiplication
         by the generators suffices.
         """
-        gens = list(set(elements))
-        closed = {self.identity}
-        frontier = [self.identity]
-        while frontier:
-            new = []
-            for a in frontier:
-                for g in gens:
-                    ag = self.table[a][g]
-                    if ag not in closed:
-                        closed.add(ag)
-                        new.append(ag)
-            frontier = new
-        return frozenset(closed)
+        return frozenset(_right_closure(self.table, self.identity, list(set(elements))))
 
     def to_json(self) -> dict:
         return {"order": self.order, "table": [list(row) for row in self.table]}
@@ -152,6 +162,23 @@ class FiniteGroup:
         if type(order) is not int or order != len(table):
             raise ValueError(f"declared order {order!r} does not match the table")
         return cls(table)
+
+
+def _right_closure(table, identity: int, generators) -> set[int]:
+    """Every element reached from the identity by right multiplication
+    by the generators."""
+    closed = {identity}
+    frontier = [identity]
+    while frontier:
+        new = []
+        for a in frontier:
+            for g in generators:
+                ag = table[a][g]
+                if ag not in closed:
+                    closed.add(ag)
+                    new.append(ag)
+        frontier = new
+    return closed
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -187,7 +214,11 @@ def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
 
 
 def group_by_name(name: str) -> FiniteGroup:
-    """Builtin constructors: "C6", "D10" (dihedral of order 10), "C2xC3"."""
+    """Builtin constructors: "C6", "D10" (dihedral of order 10), "C2xC3".
+
+    The table's order**2 entries are capped by the budget of
+    enumerate_homs, checked before any factor is built.
+    """
     factors = []
     for part in name.split("x"):
         part = part.strip()
@@ -196,14 +227,20 @@ def group_by_name(name: str) -> FiniteGroup:
         except ValueError:
             order = None
         if part.startswith("C") and order is not None:
-            factors.append(cyclic_group(order))
+            factors.append((check_int(order, "order", 1), cyclic_group, order))
         elif part.startswith("D") and order is not None:
             if order % 2 != 0 or order < 2:
                 raise ValueError(f"dihedral group order must be even, got {part!r}")
-            factors.append(dihedral_group(order // 2))
+            factors.append((order, dihedral_group, order // 2))
         else:
             raise ValueError(f"unknown group name {part!r}")
-    return reduce(direct_product, factors)
+    size = prod(order for order, _, _ in factors)
+    budget = _resolve_budget()
+    if size * size > budget:
+        raise HomBudgetExceeded(
+            f"the table of group {name!r} of order {size} exceeds the budget of {budget}"
+        )
+    return reduce(direct_product, (build(arg) for _, build, arg in factors))
 
 
 # ---------------------------------------------------------------------------
@@ -232,13 +269,7 @@ def enumerate_homs(
         n_gens = gamma.rank + len(gamma.torsion)
     else:
         raise TypeError(f"unsupported group descriptor: {gamma!r}")
-    if budget is None:
-        try:
-            budget = parse_int(os.environ.get(BUDGET_ENV_VAR, str(DEFAULT_HOM_BUDGET)), signed=False)
-        except ValueError as exc:
-            raise ValueError(f"{BUDGET_ENV_VAR}: {exc}") from None
-    else:
-        check_int(budget, "budget", 0)
+    budget = _resolve_budget(budget)
     # Each tuple has n_gens entries; past budget.bit_length() generators any
     # group of order >= 2 is over budget too, since 2**budget.bit_length() > budget.
     if n_gens > budget or group.order ** min(n_gens, budget.bit_length()) > budget:

@@ -481,6 +481,32 @@ def test_quotient_huge_rank_exits_3_at_once(run, tmp_path, group):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("group, gamma", [("C100000", "Z"), ("C800", "Z^3")])
+def test_quotient_large_group_exits_3_at_once(run, tmp_path, group, gamma):
+    # C100000's table is refused before it is built; C800's is built and
+    # validated quickly, then its 800**3 homs are refused
+    fpc = tmp_path / "fpc.json"
+    fpc.write_text('[{"subgroup":[0],"chi":2}]')
+    start = time.process_time()  # CPU time: a loaded host must not fail the bound
+    code, out, err = run("quotient", "--group", group, "--fpc", str(fpc), "--gamma", gamma)
+    assert time.process_time() - start < 1
+    assert (code, out) == (3, "")
+    assert err.startswith("error:") and "budget" in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("group, code", [("C100", 0), ("C101", 3), ("C2xC51", 3), ("D202", 3)])
+def test_quotient_group_table_is_budgeted(run, tmp_path, monkeypatch, group, code):
+    monkeypatch.setenv("ORBICHAR_HOM_BUDGET", "10000")  # order**2 <= 10000
+    fpc = tmp_path / "fpc.json"
+    fpc.write_text('[{"subgroup":[0],"chi":2}]')
+    result = run("quotient", "--group", group, "--fpc", str(fpc), "--gamma", "trivial")
+    assert result[0] == code
+    if code == 0:
+        assert result[1:] == ("1/50\n", "")
+    else:
+        assert result[1] == "" and f"the table of group {group!r}" in result[2]
+
+
 @pytest.mark.parametrize("gamma", ["Z^5000", "F_5000"])
 def test_quotient_trivial_group_takes_any_rank_in_budget(run, tmp_path, gamma):
     fpc = tmp_path / "fpc.json"
@@ -562,7 +588,8 @@ _FACTOR_ORDERS = {f"C{n}": n for n in range(1, 61)} | {f"D{n}": n for n in range
 
 @st.composite
 def _group_names(draw):
-    """Builtin names of order at most 60: table building is not budgeted."""
+    """Builtin names of order at most 60, whose tables (order**2 entries)
+    fit the budget of 10000 the fuzz sets."""
     factors, order = [], 1
     for _ in range(draw(st.integers(1, 3))):
         name = draw(st.sampled_from([f for f, o in _FACTOR_ORDERS.items() if order * o <= 60]))

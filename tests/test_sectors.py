@@ -1,5 +1,7 @@
 """Finite groups, hom enumeration, conjugacy, and sector sums."""
 
+import random
+import re
 import time
 import tracemalloc
 from fractions import Fraction
@@ -104,6 +106,90 @@ def test_table_validation():
                 [4, 3, 1, 2, 0],
             ]
         )
+
+
+def _associative(rows) -> bool:
+    """The triple loop over every (a, b, c)."""
+    n = len(rows)
+    return all(
+        rows[rows[a][b]][c] == rows[a][rows[b][c]]
+        for a in range(n)
+        for b in range(n)
+        for c in range(n)
+    )
+
+
+def _has_identity_and_inverses(rows) -> bool:
+    n = len(rows)
+    ids = [e for e in range(n) if all(rows[e][x] == x == rows[x][e] for x in range(n))]
+    return bool(ids) and all(
+        any(rows[a][b] == ids[0] == rows[b][a] for b in range(n)) for a in range(n)
+    )
+
+
+def _perturbed_loops(rng, count):
+    """Relabelled group tables of order <= 8, each with up to three
+    intercalate swaps away from the identity's row and column: a 2x2
+    subsquare [[x, y], [y, x]] turned into [[y, x], [x, y]], which keeps
+    the table a Latin square with the same identity."""
+    groups = [cyclic_group(n) for n in range(1, 9)] + [
+        dihedral_group(3),
+        dihedral_group(4),
+        group_by_name("C2xC2"),
+        group_by_name("C2xC4"),
+        group_by_name("C2xC2xC2"),
+    ]
+    for _ in range(count):
+        group = rng.choice(groups)
+        n = group.order
+        label = rng.sample(range(n), n)
+        rows = [[0] * n for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                rows[label[a]][label[b]] = label[group.table[a][b]]
+        others = [x for x in range(n) if x != label[group.identity]]
+        for _ in range(rng.randint(1, 3) if others else 0):
+            for _ in range(50):  # odd cyclic tables have no intercalate at all
+                r1, r2, c1 = rng.choice(others), rng.choice(others), rng.choice(others)
+                x, y = rows[r1][c1], rows[r2][c1]
+                c2 = rows[r1].index(y)
+                if r1 != r2 and c2 in others and rows[r2][c2] == x:
+                    rows[r1][c1], rows[r1][c2], rows[r2][c1], rows[r2][c2] = y, x, x, y
+                    break
+        yield rows
+
+
+def test_associativity_check_agrees_with_triple_loop():
+    loops = list(filter(_has_identity_and_inverses, _perturbed_loops(random.Random(0), 1500)))
+    refused = 0
+    for rows in loops:
+        if _associative(rows):
+            assert FiniteGroup(rows).table == tuple(map(tuple, rows))
+            continue
+        refused += 1
+        with pytest.raises(ValueError, match="not associative") as info:
+            FiniteGroup(rows)
+        a, b, c = map(int, re.search(r"\((\d+),(\d+),(\d+)\)", str(info.value)).groups())
+        assert rows[rows[a][b]][c] != rows[a][rows[b][c]]
+    # both verdicts are well represented, so the comparison is not vacuous
+    assert refused > 300 and len(loops) - refused > 300
+
+
+def test_large_cyclic_group_validates_quickly():
+    # the triple loop took about 40 s at order 800
+    start = time.process_time()  # CPU time: a loaded host must not fail the bound
+    assert cyclic_group(800).order == 800
+    assert time.process_time() - start < 1
+
+
+def test_group_by_name_weighs_the_table_before_building_it():
+    start = time.process_time()  # CPU time: a loaded host must not fail the bound
+    with pytest.raises(HomBudgetExceeded):
+        group_by_name("C2x" * 40 + "C2")  # order 2**41
+    assert time.process_time() - start < 1
+    # a malformed factor is refused before the size is weighed
+    with pytest.raises(ValueError, match="order"):
+        group_by_name("C100000xC0")
 
 
 def test_groups_and_fixed_point_data_are_immutable():
