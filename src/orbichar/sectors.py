@@ -16,10 +16,12 @@ their orientable double instead; their dihedral class sums are a test oracle.
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import reduce
+from functools import cache, partial, reduce
 from math import gcd, prod
+from operator import and_, is_
 
 from .core import (
     FgAbelian,
@@ -67,18 +69,20 @@ class FiniteGroup:
     """Explicit finite group: elements 0..order-1 with a multiplication table.
 
     The table is validated on construction (closure, identity, inverses,
-    associativity) and immutable afterwards.  Associativity is checked
-    over a generating set S only (Light's test), at cost order**2 * |S|,
-    and |S| <= log2(order) for a group.
+    associativity) and immutable afterwards; it holds one int object per
+    element.  Associativity is checked over a generating set S only
+    (Light's test), kept as `generators`, at cost order**2 * |S|, and
+    |S| <= log2(order) for a group.
     """
 
     table: tuple[tuple[int, ...], ...]
     order: int = field(init=False)
     identity: int = field(init=False)
     inverse: tuple[int, ...] = field(init=False)
+    generators: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.table)
+        rows = tuple(map(tuple, self.table))
         order = len(rows)
         if order == 0 or any(len(row) != order for row in rows):
             raise ValueError("multiplication table must be square and nonempty")
@@ -93,6 +97,8 @@ class FiniteGroup:
                 break
         if identity is None:
             raise ValueError("table has no identity element")
+        shared = rows[identity].__getitem__  # one int object per element; copy rows that differ
+        rows = tuple(r if all(map(is_, r, map(shared, r))) else tuple(map(shared, r)) for r in rows)
         inverse = [None] * order
         for a in range(order):
             for b in range(order):
@@ -119,6 +125,7 @@ class FiniteGroup:
         object.__setattr__(self, "table", rows)
         object.__setattr__(self, "identity", identity)
         object.__setattr__(self, "inverse", tuple(inverse))
+        object.__setattr__(self, "generators", tuple(generators))
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -183,34 +190,26 @@ def _right_closure(table, identity: int, generators) -> set[int]:
 
 def cyclic_group(n: int) -> FiniteGroup:
     """Z/nZ; element i is the i-th power of the generator."""
-    check_int(n, "order", 1)
-    return FiniteGroup([[(i + j) % n for j in range(n)] for i in range(n)])
+    twice = tuple(range(check_int(n, "order", 1))) * 2  # row i is twice[i : i + n]
+    return FiniteGroup(tuple(twice[i : i + n] for i in range(n)))
 
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: indices 0..n-1 are the rotations r^i,
     indices n..2n-1 are the reflections s*r^i."""
-    size = 2 * check_int(n, "rotation count", 1)
-    table = [[0] * size for _ in range(size)]
-    for i in range(n):
-        for j in range(n):
-            table[i][j] = (i + j) % n
-            table[i][j + n] = n + (j - i) % n
-            table[i + n][j] = n + (i + j) % n
-            table[i + n][j + n] = (j - i) % n
-    return FiniteGroup(table)
+    rotations = tuple(range(check_int(n, "rotation count", 1))) * 2
+    reflections = tuple(range(n, 2 * n)) * 2
+    return FiniteGroup(
+        tuple(rotations[i : i + n] + reflections[n - i : 2 * n - i] for i in range(n))
+        + tuple(reflections[i : i + n] + rotations[n - i : 2 * n - i] for i in range(n))
+    )
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
     """Direct product; element (x, y) has index x * |b| + y."""
-    nb = b.order
-    size = a.order * nb
-    table = [
-        [a.table[x1][x2] * nb + b.table[y1][y2] for x2 in range(a.order) for y2 in range(nb)]
-        for x1 in range(a.order)
-        for y1 in range(nb)
-    ]
-    return FiniteGroup(table)
+    nb, elements = b.order, tuple(range(a.order * b.order))
+    rows = (tuple(elements[x * nb + y] for x in ra for y in rb) for ra in a.table for rb in b.table)
+    return FiniteGroup(tuple(rows))
 
 
 def group_by_name(name: str) -> FiniteGroup:
@@ -254,8 +253,9 @@ def enumerate_homs(
     as tuples of generator images.
 
     Images are chosen one generator at a time and a prefix is dropped once
-    it fails: abelian descriptors need each image to commute with the ones
-    before it (and x**d = e at a torsion generator of order d); a relator is
+    it fails: abelian descriptors draw each image from the common
+    centralizer of the ones before it (and need x**d = e at a torsion
+    generator of order d); a relator is
     checked as soon as its highest generator has an image.  Homs come in
     lexicographic order.  The search space |G|**generators and the number of
     generators are capped by the budget: the parameter, a nonnegative int;
@@ -277,29 +277,40 @@ def enumerate_homs(
             f"homs on {n_gens} generators into a group of order {group.order} "
             f"exceed the budget of {budget}"
         )
-    if group.order == 1:  # any rank up to the budget; a prefix search is quadratic in it
+    if group.order == 1 or n_gens == 0:  # one hom; a prefix search would be quadratic in the rank
         return [(group.identity,) * n_gens]
     table, identity, elements = group.table, group.identity, range(group.order)
-    abelian = isinstance(gamma, FgAbelian)
-    candidates = [elements] * n_gens
-    if abelian:
-        candidates[gamma.rank:] = (
-            [x for x in elements if group.power(x, d) == identity] for d in gamma.torsion
-        )
+    if isinstance(gamma, FgAbelian):  # the candidates in a common centralizer are listed once
+        centralizer = cache(partial(_centralizer, table))
+        allowed = [
+            cache(lambda common, options=options: [x for x in options if common >> x & 1])
+            for options in [elements] * gamma.rank
+            + [[x for x in elements if group.power(x, d) == identity] for d in gamma.torsion]
+        ]
+        prefixes = [((), (1 << group.order) - 1)]  # with the common centralizer of their images
+        for among in allowed[:-1]:
+            prefixes = [(p + (x,), c & centralizer(x)) for p, c in prefixes for x in among(c)]
+        return [p + (x,) for p, c in prefixes for x in allowed[-1](c)]
     relators_at = [[] for _ in range(n_gens)]
     if isinstance(gamma, Presented):
         for word in gamma.words:
             relators_at[max(index for index, _ in word)].append(word)
     homs = [()]
-    for options, words in zip(candidates, relators_at):
+    for words in relators_at:
         homs = [
             prefix + (x,)
             for prefix in homs
-            for x in options
-            if (not abelian or all(table[x][y] == table[y][x] for y in prefix))
-            and (not words or all(_evaluate(group, w, prefix + (x,)) == identity for w in words))
+            for x in elements
+            if not words or all(_evaluate(group, w, prefix + (x,)) == identity for w in words)
         ]
     return homs
+
+
+def _centralizer(table, x: int) -> int:
+    """The centralizer of x as an int bitmask: bit g is set when g commutes with x."""
+    row = table[x]
+    bits = ("1" if row[g] == table[g][x] else "0" for g in reversed(range(len(table))))
+    return int("".join(bits), 2)
 
 
 def _evaluate(group: FiniteGroup, word, images: tuple[int, ...]) -> int:
@@ -324,36 +335,75 @@ def hom_classes(
 ) -> list[HomClass]:
     """Partition the homomorphisms into conjugacy classes.
 
-    The centralizer of a class is the stabilizer of any representative
-    tuple; class size times centralizer order always equals the group
-    order (checked).  Classes come in ascending order of their
-    representative, the least member of each class.
+    A class is found by conjugating by the group's generators only, so the
+    partition costs |homs| * |generators| tuple conjugations.  The
+    centralizer of a class, the stabilizer of any representative tuple, is
+    counted independently as the common centralizer of its entries; class
+    size times centralizer order always equals the group order (checked).
+    Images are folds of memoized subgroup joins; equal ones share one
+    frozenset.  Classes come in ascending order of their representative,
+    the least member of each class.
     """
-    return _partition(enumerate_homs(gamma, group, budget), group)
+    homs = enumerate_homs(gamma, group, budget)
+    return _partition(homs, group, map(_subgroup_joins(group), homs))
 
 
-def _partition(homs: list[tuple[int, ...]], group: FiniteGroup) -> list[HomClass]:
+def _subgroup_joins(group: FiniteGroup):
+    """The subgroup generated by a tuple of elements, as a fold of memoized
+    (subgroup, element) joins: each is closed once, over a generating tuple
+    kept for its subgroup, and equal subgroups share one frozenset."""
+    table, identity = group.table, group.identity
+    trivial = frozenset((identity,))
+    spans = {trivial: (trivial, ())}  # subgroup -> (its shared set, a generating tuple)
+    joins: dict[tuple[frozenset[int], int], frozenset[int]] = {}
+
+    def generated(elements) -> frozenset[int]:
+        subgroup = trivial
+        for x in elements:
+            if (subgroup, x) not in joins:
+                span = spans[subgroup][1] + (x,)
+                closure = frozenset(_right_closure(table, identity, span))
+                joined = spans.setdefault(closure, (closure, span))[0]
+                for xh in map(table[x].__getitem__, subgroup):  # <H, xh> = <H, x> for h in H
+                    joins[subgroup, xh] = joined
+            subgroup = joins[subgroup, x]
+        return subgroup
+
+    return generated
+
+
+def _partition(homs: list[tuple[int, ...]], group: FiniteGroup, images) -> list[HomClass]:
     # enumerate_homs lists homs in lexicographic order and conjugation maps
     # homs to homs, so the first hom not yet seen is the least of its class.
+    # Conjugation by a product is the composite of conjugations, so the
+    # closure under conjugation by the generators is the whole class.
+    table, inverse = group.table, group.inverse
+    conjugations = [tuple(table[gx][inverse[g]] for gx in table[g]) for g in group.generators]
+    conjugations = [c for c in conjugations if c != table[group.identity]]  # drop central ones
+    centralizer = cache(partial(_centralizer, table))
+    everything = (1 << group.order) - 1
     seen: set[tuple[int, ...]] = set()
-    images: dict[frozenset[int], frozenset[int]] = {}  # equal closures share one set
     classes = []
-    for rep in homs:
+    for rep, image in zip(homs, images):
         if rep in seen:
             continue
-        conjugates = [tuple(group.conjugate(g, x) for x in rep) for g in range(group.order)]
-        orbit = set(conjugates)
-        stabilizer = conjugates.count(rep)
+        orbit, frontier = {rep}, [rep]
+        for hom in frontier:  # the frontier grows while it is walked
+            for conjugation in conjugations:
+                other = tuple(map(conjugation.__getitem__, hom))
+                if other not in orbit:
+                    orbit.add(other)
+                    frontier.append(other)
+        stabilizer = reduce(and_, map(centralizer, rep), everything).bit_count()
         if len(orbit) * stabilizer != group.order:
             raise RuntimeError("orbit-stabilizer mismatch in conjugacy computation")
         seen |= orbit
-        image = group.subgroup_closure(rep)
         classes.append(
             HomClass(
                 representative=rep,
                 size=len(orbit),
                 centralizer_order=stabilizer,
-                image=images.setdefault(image, image),
+                image=image,
             )
         )
     return classes
@@ -428,17 +478,17 @@ def chi_gamma_quotient(
     Computed twice, once as the sum over conjugacy classes of
     chi(fixed set of the image) / centralizer order, and once as the
     average over all homomorphisms of chi(fixed set); the two must agree
-    exactly.  Both sums run over one enumeration of the homomorphisms.
+    exactly.  Both sums run over one enumeration of the homomorphisms and
+    one image per hom, a fold of memoized subgroup joins.  The class sum
+    is sum(chi * size) / |G|, as size * centralizer order = |G| (checked).
     """
     homs = enumerate_homs(gamma, group, budget)
-    classes = _partition(homs, group)
-    by_classes = Fraction(0)
-    for cls in classes:
-        by_classes += Fraction(fixed.chi(cls.image), cls.centralizer_order)
-    total = 0
-    for hom in homs:
-        total += fixed.chi(group.subgroup_closure(hom))
-    by_average = Fraction(total, group.order)
+    images = list(map(_subgroup_joins(group), homs))
+    classes = _partition(homs, group, images)
+    by_classes = Fraction(sum(fixed.chi(cls.image) * cls.size for cls in classes), group.order)
+    by_average = Fraction(
+        sum(fixed.chi(image) * count for image, count in Counter(images).items()), group.order
+    )
     if by_classes != by_average:
         # every image in a class is a conjugate of the representative's
         for cls in classes:

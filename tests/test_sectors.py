@@ -1,5 +1,6 @@
 """Finite groups, hom enumeration, conjugacy, and sector sums."""
 
+import json
 import random
 import re
 import time
@@ -224,6 +225,44 @@ def test_subgroup_closure():
     assert group.subgroup_closure([]) == frozenset({0})
 
 
+def _relabelled(group, seed):
+    """The group as a JSON document whose labels are shuffled so that the
+    identity is not 0, loaded back through FiniteGroup.from_json."""
+    rng = random.Random(seed)
+    label = list(range(group.order))
+    while label[group.identity] == 0:
+        rng.shuffle(label)
+    rows = [[0] * group.order for _ in range(group.order)]
+    for a in range(group.order):
+        for b in range(group.order):
+            rows[label[a]][label[b]] = label[group.table[a][b]]
+    relabelled = FiniteGroup.from_json({"order": group.order, "table": rows})
+    assert relabelled.identity != 0
+    return relabelled
+
+
+def test_table_holds_one_int_object_per_element():
+    builtin = [cyclic_group(300), dihedral_group(150), group_by_name("C20xD10"), group_by_name("C3")]
+    # json.loads makes an int object per entry above 256
+    loaded = FiniteGroup.from_json(json.loads(json.dumps(cyclic_group(400).to_json())))
+    for group in builtin + [loaded, _relabelled(dihedral_group(200), 1)]:
+        assert len({id(entry) for row in group.table for entry in row}) == group.order
+    assert loaded.table == cyclic_group(400).table
+    # a negative entry is refused, not read from the end of the shared elements
+    for entry in (-1, -2):
+        with pytest.raises(ValueError, match="out of range"):
+            FiniteGroup([[0, 1], [1, entry]])
+
+
+@pytest.mark.parametrize("name", ["C1", "C2", "C12", "C64", "D6", "D24", "C2xC2xC2", "C2xD6", "C3xC4xC5", "D6xD6"])
+def test_generators_generate_the_group(name):
+    group = group_by_name(name)
+    for group in (group, _relabelled(group, 2)) if group.order > 1 else (group,):
+        assert group.subgroup_closure(group.generators) == frozenset(range(group.order))
+        assert 2 ** len(group.generators) <= group.order
+        assert group.identity not in group.generators
+
+
 # ---------------------------------------------------------------------------
 # hom enumeration
 # ---------------------------------------------------------------------------
@@ -396,6 +435,63 @@ def test_classes_share_equal_images():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+def brute_force_classes(homs, group):
+    """Classes by conjugating each representative by every element of G."""
+    seen, images, classes = set(), {}, []
+    for rep in homs:
+        if rep in seen:
+            continue
+        conjugates = [tuple(group.conjugate(g, x) for x in rep) for g in range(group.order)]
+        orbit = set(conjugates)
+        seen |= orbit
+        image = group.subgroup_closure(rep)
+        classes.append((rep, len(orbit), conjugates.count(rep), images.setdefault(image, image)))
+    return classes
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        *(group_by_name(name) for name in ("C1", "C7", "C12", "D6", "D8", "D12", "C2xC2", "C2xD6", "C3xC3")),
+        _relabelled(dihedral_group(5), 3),
+        _relabelled(group_by_name("C2xD6"), 4),
+    ],
+)
+def test_classes_match_conjugation_by_every_element(group):
+    gammas = [*(FgAbelian(*args) for args in ((0,), (1,), (2,), (0, (2,)), (1, (2,)), (0, (6,))))]
+    gammas += [FreeGroup(2), Presented(("x", "y"), ("x^2", "y^3", "x y x^-1 y^-1"))]
+    for gamma in gammas:
+        homs = enumerate_homs(gamma, group)
+        classes = hom_classes(gamma, group)
+        expected = brute_force_classes(homs, group)
+        assert [
+            (cls.representative, cls.size, cls.centralizer_order, cls.image) for cls in classes
+        ] == expected
+        assert len({id(cls.image) for cls in classes}) == len({cls.image for cls in classes})
+
+
+def test_conjugation_variant_data_still_refused():
+    group = dihedral_group(3)
+    chars = {(0,): 2, (0, 1, 2): 2, (0, 3): 2, (0, 4): 0, (0, 5): 0, tuple(range(6)): 2}
+    fixed = FixedPointCharacter({frozenset(s): chi for s, chi in chars.items()})
+    message = "not conjugation-invariant: conjugate subgroups [0, 3] and [0, 4] have chi 2 and 0"
+    for gamma in (FgAbelian(1), FreeGroup(2)):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            chi_gamma_quotient(group, fixed, gamma)
+
+
+@pytest.mark.parametrize("gamma", [FgAbelian(2), FreeGroup(2)])
+def test_rotation_sum_cost_follows_the_generators(gamma):
+    # conjugating by all of G and closing every image from scratch took
+    # about 9 s here; generators and memoized joins take well under 1 s
+    action = rotation_sphere_action(200, 1)
+    start = time.process_time()  # CPU time: a loaded host must not fail the bound
+    assert chi_gamma_quotient(*action, gamma) == chi_gamma(
+        OrbifoldSignature.from_orders(0, 200, 200), gamma
+    )
+    assert time.process_time() - start < 1.5
 
 
 # ---------------------------------------------------------------------------
