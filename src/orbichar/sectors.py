@@ -7,10 +7,13 @@ centralizer order.  Manifolds are never represented here: a
 FixedPointCharacter records the fixed-set Euler characteristic per
 subgroup, which is all the sector sum needs.
 
-This module doubles as an independent oracle for the closed-form
-characteristics in `core`: the two are compared in the test suite on
-rotation actions on the sphere.  Mirrored cylinders use the closed form of
-their orientable double instead; their dihedral class sums are a test oracle.
+`hom_classes` and the listing path of `chi_gamma_quotient`, which every
+non-cyclic group takes, enumerate homomorphisms and so are an independent
+oracle for the closed-form characteristics in `core`.  A cyclic group is
+summed by counting homs per image with `core.hom_count_cyclic` instead;
+the test suite compares that count with class sums from `hom_classes`.
+Mirrored cylinders use the closed form of their orientable double; their
+dihedral class sums are a test oracle.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial, reduce
-from math import gcd, prod
+from math import gcd, lcm, prod
 from operator import and_, is_
 
 from .core import (
@@ -30,8 +33,10 @@ from .core import (
     MirroredCylinder,
     OrbifoldSignature,
     Presented,
+    abelianize,
     check_int,
     chi_gamma,
+    hom_count_cyclic,
     json_field,
     parse_int,
 )
@@ -261,22 +266,7 @@ def enumerate_homs(
     generators are capped by the budget: the parameter, a nonnegative int;
     else ORBICHAR_HOM_BUDGET, nonnegative decimal digits; else 10**7.
     """
-    if isinstance(gamma, Presented):
-        n_gens = len(gamma.generators)
-    elif isinstance(gamma, FreeGroup):
-        n_gens = gamma.rank
-    elif isinstance(gamma, FgAbelian):
-        n_gens = gamma.rank + len(gamma.torsion)
-    else:
-        raise TypeError(f"unsupported group descriptor: {gamma!r}")
-    budget = _resolve_budget(budget)
-    # Each tuple has n_gens entries; past budget.bit_length() generators any
-    # group of order >= 2 is over budget too, since 2**budget.bit_length() > budget.
-    if n_gens > budget or group.order ** min(n_gens, budget.bit_length()) > budget:
-        raise HomBudgetExceeded(
-            f"homs on {n_gens} generators into a group of order {group.order} "
-            f"exceed the budget of {budget}"
-        )
+    n_gens = _check_hom_budget(gamma, group, budget)
     if group.order == 1 or n_gens == 0:  # one hom; a prefix search would be quadratic in the rank
         return [(group.identity,) * n_gens]
     table, identity, elements = group.table, group.identity, range(group.order)
@@ -304,6 +294,28 @@ def enumerate_homs(
             if not words or all(_evaluate(group, w, prefix + (x,)) == identity for w in words)
         ]
     return homs
+
+
+def _check_hom_budget(gamma: GammaDescriptor, group: FiniteGroup, budget: int | None) -> int:
+    """The number of generators of the described group, once the search
+    space |G|**generators and the generator count are within the budget."""
+    if isinstance(gamma, Presented):
+        n_gens = len(gamma.generators)
+    elif isinstance(gamma, FreeGroup):
+        n_gens = gamma.rank
+    elif isinstance(gamma, FgAbelian):
+        n_gens = gamma.rank + len(gamma.torsion)
+    else:
+        raise TypeError(f"unsupported group descriptor: {gamma!r}")
+    budget = _resolve_budget(budget)
+    # Each tuple has n_gens entries; past budget.bit_length() generators any
+    # group of order >= 2 is over budget too, since 2**budget.bit_length() > budget.
+    if n_gens > budget or group.order ** min(n_gens, budget.bit_length()) > budget:
+        raise HomBudgetExceeded(
+            f"homs on {n_gens} generators into a group of order {group.order} "
+            f"exceed the budget of {budget}"
+        )
+    return n_gens
 
 
 def _centralizer(table, x: int) -> int:
@@ -345,7 +357,7 @@ def hom_classes(
     the least member of each class.
     """
     homs = enumerate_homs(gamma, group, budget)
-    return _partition(homs, group, map(_subgroup_joins(group), homs))
+    return [HomClass(*row) for row in _partition(homs, group, map(_subgroup_joins(group), homs))]
 
 
 def _subgroup_joins(group: FiniteGroup):
@@ -372,7 +384,9 @@ def _subgroup_joins(group: FiniteGroup):
     return generated
 
 
-def _partition(homs: list[tuple[int, ...]], group: FiniteGroup, images) -> list[HomClass]:
+def _partition(homs: list[tuple[int, ...]], group: FiniteGroup, images):
+    """One (representative, size, centralizer order, image) row per class,
+    the fields of HomClass in order."""
     # enumerate_homs lists homs in lexicographic order and conjugation maps
     # homs to homs, so the first hom not yet seen is the least of its class.
     # Conjugation by a product is the composite of conjugations, so the
@@ -398,14 +412,7 @@ def _partition(homs: list[tuple[int, ...]], group: FiniteGroup, images) -> list[
         if len(orbit) * stabilizer != group.order:
             raise RuntimeError("orbit-stabilizer mismatch in conjugacy computation")
         seen |= orbit
-        classes.append(
-            HomClass(
-                representative=rep,
-                size=len(orbit),
-                centralizer_order=stabilizer,
-                image=image,
-            )
-        )
+        classes.append((rep, len(orbit), stabilizer, image))
     return classes
 
 
@@ -426,16 +433,7 @@ class FixedPointCharacter:
     chars: dict[frozenset[int], int]
 
     def __post_init__(self):
-        normalized = {}
-        for subgroup, chi in dict(self.chars).items():
-            subgroup = frozenset(subgroup)
-            if type(chi) is not int or any(type(x) is not int for x in subgroup):
-                raise ValueError(
-                    f"fixed-point chi {chi!r} and subgroup elements {set(subgroup)!r} "
-                    "must be ints"
-                )
-            normalized[subgroup] = chi
-        object.__setattr__(self, "chars", normalized)
+        object.__setattr__(self, "chars", _chars_by_subgroup(dict(self.chars).items()))
 
     def chi(self, subgroup: frozenset[int]) -> int:
         try:
@@ -464,7 +462,26 @@ class FixedPointCharacter:
             for e in entries
         ):
             raise ValueError("fixed-point data must be a list of subgroup/chi objects")
-        return cls({frozenset(entry["subgroup"]): entry["chi"] for entry in entries})
+        return cls(_chars_by_subgroup((entry["subgroup"], entry["chi"]) for entry in entries))
+
+
+def _chars_by_subgroup(pairs) -> dict[frozenset[int], int]:
+    """(subgroup, chi) pairs keyed by frozen set.  Values and elements must
+    be ints, and a subgroup listed twice must get the same chi both times."""
+    chars = {}
+    for subgroup, chi in pairs:
+        subgroup = frozenset(subgroup)
+        if type(chi) is not int or any(type(x) is not int for x in subgroup):
+            raise ValueError(
+                f"fixed-point chi {chi!r} and subgroup elements {set(subgroup)!r} "
+                "must be ints"
+            )
+        if chars.setdefault(subgroup, chi) != chi:
+            raise ValueError(
+                f"fixed-point data gives subgroup {sorted(subgroup)} two values, "
+                f"{chars[subgroup]} and {chi}"
+            )
+    return chars
 
 
 def chi_gamma_quotient(
@@ -473,37 +490,96 @@ def chi_gamma_quotient(
     gamma: GammaDescriptor,
     budget: int | None = None,
 ) -> Fraction:
-    """Characteristic of the sectors of a finite quotient.
+    """Characteristic of the sectors of a finite quotient: the average over
+    all homomorphisms of chi(fixed set of the image).
 
-    Computed twice, once as the sum over conjugacy classes of
-    chi(fixed set of the image) / centralizer order, and once as the
-    average over all homomorphisms of chi(fixed set); the two must agree
-    exactly.  Both sums run over one enumeration of the homomorphisms and
-    one image per hom, a fold of memoized subgroup joins.  The class sum
-    is sum(chi * size) / |G|, as size * centralizer order = |G| (checked).
+    The budget is checked first and refuses the same inputs on both paths.
+    A cyclic G lists no homs: see _sum_by_counting.  Every other G, and a
+    cyclic G whose data lacks a subgroup that some hom fills (so that the
+    error names the same subgroup), lists them and computes the sum twice,
+    once as the sum over conjugacy classes of chi(fixed set of the image) /
+    centralizer order, and once as the average over all homomorphisms of
+    chi(fixed set); the two must agree exactly.  Both sums run over one
+    enumeration of the homomorphisms and one image per hom, a fold of
+    memoized subgroup joins.  The class sum is sum(chi * size) / |G|, as
+    size * centralizer order = |G| (checked).
     """
+    _check_hom_budget(gamma, group, budget)
+    generator = _cyclic_generator(group)
+    if generator is not None:
+        counted = _sum_by_counting(group, fixed, gamma, generator)
+        if counted is not None:
+            return counted
     homs = enumerate_homs(gamma, group, budget)
     images = list(map(_subgroup_joins(group), homs))
     classes = _partition(homs, group, images)
-    by_classes = Fraction(sum(fixed.chi(cls.image) * cls.size for cls in classes), group.order)
+    by_classes = Fraction(sum(fixed.chi(image) * size for _, size, _, image in classes), group.order)
     by_average = Fraction(
         sum(fixed.chi(image) * count for image, count in Counter(images).items()), group.order
     )
     if by_classes != by_average:
         # every image in a class is a conjugate of the representative's
-        for cls in classes:
+        for *_, image in classes:
             for g in range(group.order):
-                other = frozenset(group.conjugate(g, x) for x in cls.image)
-                if fixed.chi(other) != fixed.chi(cls.image):
+                other = frozenset(group.conjugate(g, x) for x in image)
+                if fixed.chi(other) != fixed.chi(image):
                     raise ValueError(
                         f"fixed-point data is not conjugation-invariant: conjugate "
-                        f"subgroups {sorted(cls.image)} and {sorted(other)} have chi "
-                        f"{fixed.chi(cls.image)} and {fixed.chi(other)}"
+                        f"subgroups {sorted(image)} and {sorted(other)} have chi "
+                        f"{fixed.chi(image)} and {fixed.chi(other)}"
                     )
         raise RuntimeError(
             f"sector sums disagree: {by_classes} by classes, {by_average} by average"
         )
     return by_classes
+
+
+def _cyclic_generator(group: FiniteGroup) -> int | None:
+    """An element of order |G| when G is cyclic, else None.
+
+    A non-abelian G is skipped first: its generators do not all commute.
+    An abelian G is cyclic exactly when its exponent, the lcm of the
+    orders of its generators, is |G|; only then are elements scanned.
+    """
+    table, generators = group.table, group.generators
+    if any(table[a][b] != table[b][a] for a in generators for b in generators):
+        return None
+    if lcm(*map(group.element_order, generators)) != group.order:
+        return None
+    return next(x for x in range(group.order) if group.element_order(x) == group.order)
+
+
+def _sum_by_counting(
+    group: FiniteGroup, fixed: FixedPointCharacter, gamma: GammaDescriptor, generator: int
+) -> Fraction | None:
+    """The sector sum over G = <generator> of order n, from the number of
+    homs per image; None when the data lacks a subgroup that a hom fills.
+
+    Every hom into G factors through the abelianization of gamma, and the
+    homs with image inside the subgroup H_d of order d, <generator**(n/d)>,
+    number hom_count_cyclic(gamma, d).  Subtracting the counts N(e) of the
+    proper divisors e of d (Moebius inversion over the divisor lattice,
+    P. Hall, "The Eulerian functions of a group", 1936) leaves N(d), the
+    homs with image exactly H_d; the sum is sum(chi(H_d) * N(d)) / n.
+    """
+    n, table = group.order, group.table
+    powers = [group.identity]  # powers[k] is generator**k
+    for _ in range(n - 1):
+        powers.append(table[powers[-1]][generator])
+    abelian = abelianize(gamma)
+    exact: dict[int, int] = {}  # divisor d -> N(d)
+    total = 0
+    for d in range(1, n + 1):
+        if n % d:
+            continue
+        below = sum(count for e, count in exact.items() if d % e == 0)
+        exact[d] = hom_count_cyclic(abelian, d) - below
+        if exact[d]:
+            chi = fixed.chars.get(frozenset(powers[:: n // d]))
+            if chi is None:
+                return None
+            total += chi * exact[d]
+    return Fraction(total, n)
 
 
 def rotation_sphere_action(n: int, step: int) -> tuple[FiniteGroup, FixedPointCharacter]:

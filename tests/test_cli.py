@@ -388,6 +388,21 @@ def test_quotient_missing_fpc_entry_exits_2(run, tmp_path):
     assert err
 
 
+@pytest.mark.parametrize(
+    "repeat, expected",
+    [
+        (2, (0, "2\n", "")),
+        (7, (2, "", "error: fixed-point data gives subgroup [0] two values, 2 and 7\n")),
+    ],
+)
+def test_quotient_subgroup_given_twice(run, tmp_path, repeat, expected):
+    fpc = tmp_path / "fpc.json"
+    subgroups = [[0], [0, 3], [0, 2, 4], [0, 1, 2, 3, 4, 5]]
+    entries = [{"subgroup": s, "chi": 2} for s in subgroups] + [{"subgroup": [0], "chi": repeat}]
+    fpc.write_text(json.dumps(entries))
+    assert run("quotient", "--group", "C6", "--fpc", str(fpc), "--gamma", "Z") == expected
+
+
 def test_quotient_conjugation_variant_data_exits_2(run, tmp_path):
     fpc = tmp_path / "fpc.json"
     chars = {(0,): 2, (0, 1, 2): 2, (0, 3): 2, (0, 4): 0, (0, 5): 0, tuple(range(6)): 2}

@@ -594,6 +594,128 @@ def test_quotient_abelian_group_ignores_commutators():
     )
 
 
+def test_fixed_point_data_with_two_values_for_a_subgroup_is_refused():
+    twice = [{"subgroup": [0], "chi": 2}, {"subgroup": [0], "chi": 7}]
+    with pytest.raises(ValueError, match=re.escape("subgroup [0] two values, 2 and 7")):
+        FixedPointCharacter.from_json(twice + [{"subgroup": [0, 3], "chi": 2}])
+    # two keys that name one subgroup
+    with pytest.raises(ValueError, match=re.escape("subgroup [0, 3] two values, 2 and 0")):
+        FixedPointCharacter({(0, 3): 2, (3, 0): 0})
+
+
+def test_fixed_point_data_repeated_with_one_value_is_accepted():
+    fixed = FixedPointCharacter.from_json([{"subgroup": [0], "chi": 2}] * 2)
+    assert fixed.to_json() == [{"subgroup": [0], "chi": 2}]
+    fixed = FixedPointCharacter({(0, 3): 2, (3, 0): 2, frozenset({0}): 2})
+    assert fixed.subgroups() == [frozenset({0}), frozenset({0, 3})]
+
+
+# ---------------------------------------------------------------------------
+# cyclic G: counting homs per image over the divisor lattice
+# ---------------------------------------------------------------------------
+
+COUNTING_BATTERY = BATTERY + (
+    FreeGroup(2),
+    Presented(("x", "y"), ("x^2", "y^3")),
+    Presented(("x", "y"), ("x y x^-1 y^-1", "y^4")),
+)
+
+
+def _relabelled_without_generator_1(n):
+    """Z/n from a shuffled JSON table in which element 1 has order below n."""
+    seed = 0
+    while (group := _relabelled(cyclic_group(n), seed)).element_order(1) == n:
+        seed += 1
+    return group
+
+
+def _cyclic_groups():
+    yield from (cyclic_group(n) for n in range(1, 61))
+    yield from (group_by_name(name) for name in ("C3xC4", "C5xC6", "C2xC3xC5"))
+    yield from (_relabelled_without_generator_1(n) for n in (12, 30))
+
+
+def _by_hom_classes(group, chars, gamma) -> Fraction:
+    classes = hom_classes(gamma, group)
+    return Fraction(sum(chars[cls.image] * cls.size for cls in classes), group.order)
+
+
+def test_cyclic_sum_by_counting_matches_class_sum(monkeypatch):
+    rng = random.Random(19)
+    for group in _cyclic_groups():
+        subgroups = {group.subgroup_closure([x]) for x in range(group.order)}  # all cyclic
+        chars = {subgroup: rng.randrange(-6, 7) for subgroup in subgroups}
+        fixed = FixedPointCharacter(chars)
+        for gamma in COUNTING_BATTERY:
+            if gamma in (FgAbelian(3), COUNTING_BATTERY[-1]) and group.order > 24:
+                # the oracle lists n**3 homs or checks a relator on n**2 pairs:
+                # up to C60 these two would take about 15 s
+                continue
+            expected = _by_hom_classes(group, chars, gamma)
+            with monkeypatch.context() as patch:  # the counting path lists no homs
+                patch.setattr("orbichar.sectors.enumerate_homs", None)
+                assert chi_gamma_quotient(group, fixed, gamma) == expected, (group.order, gamma)
+
+
+def test_cyclic_sum_by_counting_needs_only_the_images(monkeypatch):
+    group, fixed = rotation_sphere_action(6, 1)
+    partial = FixedPointCharacter({frozenset({0}): 2, frozenset({0, 3}): 3})
+    monkeypatch.setattr("orbichar.sectors.enumerate_homs", None)
+    assert chi_gamma_quotient(group, partial, FgAbelian(0, (2,))) == Fraction(5, 6)
+
+
+@pytest.mark.parametrize("gamma", [FgAbelian(2), FreeGroup(2), FgAbelian(0, (6,))])
+@pytest.mark.parametrize("group", [cyclic_group(12), _relabelled(cyclic_group(12), 3)])
+def test_cyclic_sum_missing_data_names_the_first_image(group, gamma):
+    # every subgroup but the largest and one other: the error names the
+    # first class image without data, as the listing path does
+    for missing in {group.subgroup_closure([x]) for x in range(group.order)}:
+        if len(missing) == 1:
+            continue
+        chars = {
+            group.subgroup_closure([x]): 2
+            for x in range(group.order)
+            if group.subgroup_closure([x]) not in (missing, frozenset(range(group.order)))
+        }
+        images = [cls.image for cls in hom_classes(gamma, group)]
+        first = next((image for image in images if image not in chars), None)
+        if first is None:  # every image has data
+            assert chi_gamma_quotient(group, FixedPointCharacter(chars), gamma) == _by_hom_classes(
+                group, chars, gamma
+            )
+            continue
+        with pytest.raises(FixedPointDataError) as err:
+            chi_gamma_quotient(group, FixedPointCharacter(chars), gamma)
+        assert str(err.value) == repr(f"no fixed-point value for subgroup {sorted(first)}")
+
+
+@pytest.mark.parametrize(
+    "group, gamma, budget, message",
+    [
+        (cyclic_group(1000), FgAbelian(3), None, "homs on 3 generators into a group of order 1000"),
+        (cyclic_group(30), FgAbelian(4, (2,)), None, "homs on 5 generators into a group of order 30"),
+        (cyclic_group(3), FreeGroup(10**9), None, "homs on 1000000000 generators into a group of order 3"),
+        (cyclic_group(10), FgAbelian(3), 999, "homs on 3 generators into a group of order 10"),
+    ],
+)
+def test_cyclic_sum_keeps_the_hom_budget(group, gamma, budget, message):
+    fixed = FixedPointCharacter({frozenset(range(group.order)): 2})
+    with pytest.raises(HomBudgetExceeded) as err:
+        chi_gamma_quotient(group, fixed, gamma, budget)
+    assert str(err.value) == f"{message} exceed the budget of {budget or 10**7}"
+
+
+@pytest.mark.parametrize("gamma", [FgAbelian(2), FreeGroup(2)])
+def test_large_rotation_sum_counts_instead_of_listing(gamma):
+    # listing the million homs into C1000 took about 20 s
+    action = rotation_sphere_action(1000, 1)
+    start = time.process_time()  # CPU time: a loaded host must not fail the bound
+    assert chi_gamma_quotient(*action, gamma) == chi_gamma(
+        OrbifoldSignature.from_orders(0, 1000, 1000), gamma
+    )
+    assert time.process_time() - start < 2
+
+
 # ---------------------------------------------------------------------------
 # mirrored cylinders
 # ---------------------------------------------------------------------------
