@@ -12,7 +12,9 @@ import argparse
 import json
 import os
 import sys
+from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
+from math import gcd
 from pathlib import Path
 
 from .classify import (
@@ -168,6 +170,33 @@ def _rational_list(values) -> str:
     return "[" + ",".join(f'"{format_rational(v)}"' for v in values) + "]"
 
 
+# Integer products are exact in this context: no count nears its precision.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
+
+
+def _count_digits(counts: set[int]) -> dict[int, str]:
+    """Each count's str(), computed through the counts' common factor.
+
+    int -> str is quadratic in the digits, and a family's counts are small
+    cofactors of one large shared factor, so that factor is converted once
+    and each count is the exact Decimal product of it and its cofactor;
+    str() of a Decimal with exponent 0 gives plain digits.  A count past
+    the int -> str digit limit raises str()'s own ValueError.
+    """
+    common = gcd(*counts)
+    if common < 2:  # nothing is shared
+        return {count: str(count) for count in counts}
+    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    # a count of at most 3 * limit bits is below 8**limit, so within it
+    if limit and max(counts).bit_length() > 3 * limit:
+        ceiling = 10**limit
+        for count in counts:
+            if count >= ceiling:
+                str(count)  # raises, as the plain conversion would
+    head, multiply = Decimal(str(common)), _EXACT.multiply
+    return {count: str(multiply(head, Decimal(count // common))) for count in counts}
+
+
 # ---------------------------------------------------------------------------
 # Subcommands
 # ---------------------------------------------------------------------------
@@ -201,7 +230,7 @@ def cmd_construct(args) -> int:
         family = expand_family(*pair, parse_int(args.members), level)
     # Every number is converted before the first write: one past the
     # int->str digit limit must leave stdout empty, not half a document.
-    digits = {count: str(count) for count in {count for sig in family for _, count in sig.cones}}
+    digits = _count_digits({count for sig in family for _, count in sig.cones})
     # The builders verified the family (distinct members, equal values at
     # levels 0..level), so one sequence stands for every member.
     sequence = _rational_list(char_sequence(family[0], level))

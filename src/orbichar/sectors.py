@@ -23,6 +23,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cache, partial, reduce
+from itertools import product
 from math import gcd, lcm, prod
 from operator import and_, is_
 
@@ -494,22 +495,27 @@ def chi_gamma_quotient(
     all homomorphisms of chi(fixed set of the image).
 
     The budget is checked first and refuses the same inputs on both paths.
-    A cyclic G lists no homs: see _sum_by_counting.  Every other G, and a
-    cyclic G whose data lacks a subgroup that some hom fills (so that the
-    error names the same subgroup), lists them and computes the sum twice,
-    once as the sum over conjugacy classes of chi(fixed set of the image) /
-    centralizer order, and once as the average over all homomorphisms of
-    chi(fixed set); the two must agree exactly.  Both sums run over one
+    A cyclic G lists no homs: see _sum_by_counting.  When its data lacks a
+    subgroup that some hom fills, the homs are walked one at a time in the
+    order enumerate_homs lists them, up to the first image without data,
+    so the error names the subgroup the listing path would name.  Every
+    other G lists the homs and computes the sum twice, once as the sum
+    over conjugacy classes of chi(fixed set of the image) / centralizer
+    order, and once as the average over all homomorphisms of chi(fixed
+    set); the two must agree exactly.  Both sums run over one
     enumeration of the homomorphisms and one image per hom, a fold of
     memoized subgroup joins.  The class sum is sum(chi * size) / |G|, as
     size * centralizer order = |G| (checked).
     """
-    _check_hom_budget(gamma, group, budget)
+    n_gens = _check_hom_budget(gamma, group, budget)
     generator = _cyclic_generator(group)
     if generator is not None:
         counted = _sum_by_counting(group, fixed, gamma, generator)
         if counted is not None:
             return counted
+        generated = _subgroup_joins(group)
+        for hom in _abelian_homs(gamma, group, n_gens):
+            fixed.chi(generated(hom))  # raises at the first image without data
     homs = enumerate_homs(gamma, group, budget)
     images = list(map(_subgroup_joins(group), homs))
     classes = _partition(homs, group, images)
@@ -547,6 +553,26 @@ def _cyclic_generator(group: FiniteGroup) -> int | None:
     if lcm(*map(group.element_order, generators)) != group.order:
         return None
     return next(x for x in range(group.order) if group.element_order(x) == group.order)
+
+
+def _abelian_homs(gamma: GammaDescriptor, group: FiniteGroup, n_gens: int):
+    """The homs enumerate_homs lists into an abelian group, one at a time
+    and in the same lexicographic order: every centralizer is the whole
+    group, so they are the tuples of allowed images that satisfy the
+    relators."""
+    if group.order == 1:  # one hom, as there
+        return iter([(group.identity,) * n_gens])
+    elements, identity = range(group.order), group.identity
+    options, words = [elements] * n_gens, ()
+    if isinstance(gamma, FgAbelian):
+        options[gamma.rank:] = (
+            [x for x in elements if group.power(x, d) == identity] for d in gamma.torsion
+        )
+    elif isinstance(gamma, Presented):
+        words = gamma.words
+    return (
+        hom for hom in product(*options) if all(_evaluate(group, w, hom) == identity for w in words)
+    )
 
 
 def _sum_by_counting(

@@ -7,12 +7,13 @@ import sys
 import time
 from functools import cache
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orbichar.classify import char_sequence
-from orbichar.cli import _CONE_MEMO_SIZE, _cone_text, _signature_line, main
+from orbichar.cli import _CONE_MEMO_SIZE, _cone_text, _count_digits, _signature_line, main
 from orbichar.constructions import build_collision_pair, expand_family
 from orbichar.core import OrbifoldSignature, format_rational
 from orbichar.sectors import group_by_name
@@ -164,6 +165,46 @@ def test_construct_nonzero_genus(run):
     assert all(member["genus"] == 5 for member in payload["family"])
 
 
+# the pinned construct inputs of the benchmark, read only
+_PINNED = Path(__file__).parents[1] / "perfbench" / "pinned.json"
+_PINNED_CONSTRUCT = json.loads(_PINNED.read_text(encoding="utf-8"))["construct"]
+
+
+def _pinned_construct(level, members):
+    """The first pinned lcm entry at the level with the --N value."""
+    return next(
+        entry
+        for entry in _PINNED_CONSTRUCT
+        if (entry["equalize"], entry["level"], entry["members"]) == ("lcm", level, members)
+    )
+
+
+def _seeds(entry):
+    return [int(seed) for seed in entry["argv"][entry["argv"].index("--orders") + 1].split(",")]
+
+
+def _family(level, genus, seeds, members, equalize="lcm"):
+    pair = build_collision_pair(level, genus, seeds, equalize=equalize)
+    return list(pair) if members is None else expand_family(*pair, members, level)
+
+
+def _construct_document(level, family):
+    """The json.dumps of a family with one recomputed sequence per member."""
+    return json.dumps(
+        {
+            "family": [sig.to_json() for sig in family],
+            "verification": {
+                "char_sequences": [
+                    [format_rational(v) for v in char_sequence(sig, level)] for sig in family
+                ],
+                "agree_through_level": level,
+                "pairwise_distinct": True,
+            },
+        },
+        separators=(",", ":"),
+    ) + "\n"
+
+
 def test_construct_matches_json_dumps_byte_for_byte(run):
     """The streamed document equals the json.dumps of the library's family
     with one recomputed sequence per member."""
@@ -173,25 +214,63 @@ def test_construct_matches_json_dumps_byte_for_byte(run):
         for members, equalize, genus in product((None, 3, 5), ("lcm", "product"), range(3)):
             argv = ["construct", f"--L={level}", f"--g={genus}", f"--equalize={equalize}"]
             argv += [f"--orders={','.join(map(str, seeds))}"] + ([f"--N={members}"] if members else [])
-            pair = build_collision_pair(level, genus, seeds, equalize=equalize)
-            family = list(pair) if members is None else expand_family(*pair, members, level)
-            expected = json.dumps(
-                {
-                    "family": [sig.to_json() for sig in family],
-                    "verification": {
-                        "char_sequences": [
-                            [format_rational(v) for v in char_sequence(sig, level)] for sig in family
-                        ],
-                        "agree_through_level": level,
-                        "pairwise_distinct": True,
-                    },
-                },
-                separators=(",", ":"),
-            ) + "\n"
-            assert run(*argv) == (0, expected, "")
+            family = _family(level, genus, seeds, members, equalize)
+            assert run(*argv) == (0, _construct_document(level, family), "")
             counts = [count for sig in family for _, count in sig.cones]
             repeated += len(set(counts)) < len(counts)
     assert repeated  # the per-count memo is exercised
+
+
+@pytest.mark.parametrize("members", [None, 5])
+def test_construct_level_7_matches_json_dumps_and_pin(run, members):
+    # counts of ~4,000 digits, converted through their common factor
+    entry = _pinned_construct(7, members)
+    family = _family(7, entry["genus"], _seeds(entry), members)
+    code, out, err = run(*entry["argv"])
+    assert (code, out, err) == (0, _construct_document(7, family), "")
+    assert hashlib.sha256(out.encode()).hexdigest() == entry["sha256"]
+    assert len(out.encode()) == entry["bytes"]
+
+
+def _counts(level, genus, seeds, members, equalize="lcm"):
+    return {count for sig in _family(level, genus, seeds, members, equalize) for _, count in sig.cones}
+
+
+def _pinned_counts(level, members):
+    entry = _pinned_construct(level, members)
+    return _counts(level, entry["genus"], _seeds(entry), members)
+
+
+# count sets built when their case runs, not at collection
+_COUNT_SETS = {
+    "coprime": lambda: {6, 35, 143},  # nothing shared
+    "single": lambda: {12},
+    "at-limit": lambda: {3 * 10**4299, 6 * 10**4299},  # the default digit limit itself
+    "lcm-7": lambda: _pinned_counts(7, None),
+    "lcm-7-N5": lambda: _pinned_counts(7, 5),
+    "product-5": lambda: _counts(5, 2, list(range(6, 14)), 4, "product"),
+}
+
+
+@pytest.mark.parametrize("case", list(_COUNT_SETS))
+def test_count_digits_equal_str(case):
+    counts = _COUNT_SETS[case]()
+    assert _count_digits(counts) == {count: str(count) for count in counts}
+
+
+@pytest.mark.skipif(
+    getattr(sys, "get_int_max_str_digits", int)() != 4300, reason="needs the default int->str digit limit"
+)
+@pytest.mark.parametrize(
+    "counts",
+    [
+        {3 * 10**4299, 30 * 10**4299},  # shared factor, one count of 4,301 digits
+        {10**4300 + 1, 2},  # nothing shared
+    ],
+)
+def test_count_digits_past_the_limit_raise(counts):
+    with pytest.raises(ValueError, match="Exceeds the limit"):
+        _count_digits(counts)
 
 
 def test_construct_past_the_digit_limit_writes_nothing(run):
@@ -719,3 +798,37 @@ def test_console_entry_point():
     )
     assert result.returncode == 0
     assert result.stdout.strip() == "-1/2"
+
+
+def test_main_in_one_process_matches_fresh_runs(tmp_path, capsys, monkeypatch):
+    # one interpreter serving many requests, as the benchmark does: no state
+    # left by a subcommand, or by an argparse exit, may change a later answer
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    fpc = tmp_path / "fpc.json"
+    fpc.write_text(_all_subgroups_fpc("C6"))
+    construct = ["construct", "--L", "4", "--g", "1", "--orders", "5,6,7,8", "--N", "3"]
+    requests = [
+        construct,
+        ["enumerate", "--chi-es=-1/2"],
+        ["construct", "--L", "2"],  # argparse: required options missing
+        ["reconstruct", "--seq=-1/2,2,19,149,1249,11249"],
+        ["quotient", "--group", "C6", f"--fpc={fpc}", "--gamma", "Z^2"],
+        ["reconstruct", "-h"],  # argparse: help, exit 0
+        ["chi", "--sig", "Sigma_1(2)", "--seq-len", "3"],
+        ["bogus"],
+        ["enumerate", "--chi-es=-1"],
+        ["construct", "--L", "4", "--g", "0", "--orders", "2"],  # too few seeds: exit 2
+        ["search", "--g-max", "1", "--k-max", "2", "--m-max", "6", "--L", "1"],
+        ["verify-paper", "sameLESC"],
+        construct,
+    ]
+    for argv in requests:
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+        out, err = capsys.readouterr()
+        fresh = subprocess.run(
+            [sys.executable, "-m", "orbichar", *argv], capture_output=True, text=True, timeout=60
+        )
+        assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

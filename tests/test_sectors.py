@@ -664,11 +664,14 @@ def test_cyclic_sum_by_counting_needs_only_the_images(monkeypatch):
     assert chi_gamma_quotient(group, partial, FgAbelian(0, (2,))) == Fraction(5, 6)
 
 
-@pytest.mark.parametrize("gamma", [FgAbelian(2), FreeGroup(2), FgAbelian(0, (6,))])
+@pytest.mark.parametrize(
+    "gamma", [FgAbelian(2), FreeGroup(2), FgAbelian(0, (6,)), *COUNTING_BATTERY[-2:]]
+)
 @pytest.mark.parametrize("group", [cyclic_group(12), _relabelled(cyclic_group(12), 3)])
-def test_cyclic_sum_missing_data_names_the_first_image(group, gamma):
+def test_cyclic_sum_missing_data_names_the_first_image(group, gamma, monkeypatch):
     # every subgroup but the largest and one other: the error names the
-    # first class image without data, as the listing path does
+    # first class image without data, as the listing path does, from homs
+    # walked one at a time
     for missing in {group.subgroup_closure([x]) for x in range(group.order)}:
         if len(missing) == 1:
             continue
@@ -684,7 +687,8 @@ def test_cyclic_sum_missing_data_names_the_first_image(group, gamma):
                 group, chars, gamma
             )
             continue
-        with pytest.raises(FixedPointDataError) as err:
+        with monkeypatch.context() as patch, pytest.raises(FixedPointDataError) as err:
+            patch.setattr("orbichar.sectors.enumerate_homs", None)
             chi_gamma_quotient(group, FixedPointCharacter(chars), gamma)
         assert str(err.value) == repr(f"no fixed-point value for subgroup {sorted(first)}")
 
@@ -714,6 +718,22 @@ def test_large_rotation_sum_counts_instead_of_listing(gamma):
         OrbifoldSignature.from_orders(0, 1000, 1000), gamma
     )
     assert time.process_time() - start < 2
+
+
+@pytest.mark.parametrize("gamma", [FgAbelian(2), FreeGroup(2)])
+def test_large_rotation_missing_data_walks_instead_of_listing(gamma):
+    # data for every subgroup of C1000 but the whole group: naming it by
+    # listing the million homs took about 4 s and 250 MiB
+    group, fixed = rotation_sphere_action(1000, 1)
+    whole = frozenset(range(1000))
+    partial = FixedPointCharacter(
+        {subgroup: chi for subgroup, chi in fixed.chars.items() if subgroup != whole}
+    )
+    start = time.process_time()  # CPU time: a loaded host must not fail the bound
+    with pytest.raises(FixedPointDataError) as err:
+        chi_gamma_quotient(group, partial, gamma)
+    assert time.process_time() - start < 1
+    assert str(err.value) == repr(f"no fixed-point value for subgroup {sorted(whole)}")
 
 
 # ---------------------------------------------------------------------------
