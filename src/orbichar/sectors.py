@@ -9,9 +9,10 @@ subgroup, which is all the sector sum needs.
 
 `hom_classes` and the listing path of `chi_gamma_quotient`, which every
 non-cyclic group takes, enumerate homomorphisms and so are an independent
-oracle for the closed-form characteristics in `core`.  A cyclic group is
-summed by counting homs per image with `core.hom_count_cyclic` instead;
-the test suite compares that count with class sums from `hom_classes`.
+oracle for the closed-form characteristics in `core`; the listing path
+sums over the homs once, as orbit-stabilizer allows.  A cyclic group is
+summed by counting homs per image with `core.hom_count_cyclic` instead.
+The test suite compares both paths with class sums from `hom_classes`.
 Mirrored cylinders use the closed form of their orientable double; their
 dihedral class sums are a test oracle.
 """
@@ -358,7 +359,34 @@ def hom_classes(
     the least member of each class.
     """
     homs = enumerate_homs(gamma, group, budget)
-    return [HomClass(*row) for row in _partition(homs, group, map(_subgroup_joins(group), homs))]
+    # enumerate_homs lists homs in lexicographic order and conjugation maps
+    # homs to homs, so the first hom not yet seen is the least of its class.
+    # Conjugation by a product is the composite of conjugations, so the
+    # closure under conjugation by the generators is the whole class.
+    table, inverse = group.table, group.inverse
+    conjugations = [tuple(table[gx][inverse[g]] for gx in table[g]) for g in group.generators]
+    conjugations = [c for c in conjugations if c != table[group.identity]]  # drop central ones
+    centralizer = cache(partial(_centralizer, table))
+    everything = (1 << group.order) - 1
+    generated = _subgroup_joins(group)
+    seen: set[tuple[int, ...]] = set()
+    classes = []
+    for rep in homs:
+        if rep in seen:
+            continue
+        orbit, frontier = {rep}, [rep]
+        for hom in frontier:  # the frontier grows while it is walked
+            for conjugation in conjugations:
+                other = tuple(map(conjugation.__getitem__, hom))
+                if other not in orbit:
+                    orbit.add(other)
+                    frontier.append(other)
+        stabilizer = reduce(and_, map(centralizer, rep), everything).bit_count()
+        if len(orbit) * stabilizer != group.order:
+            raise RuntimeError("orbit-stabilizer mismatch in conjugacy computation")
+        seen |= orbit
+        classes.append(HomClass(rep, len(orbit), stabilizer, generated(rep)))
+    return classes
 
 
 def _subgroup_joins(group: FiniteGroup):
@@ -383,38 +411,6 @@ def _subgroup_joins(group: FiniteGroup):
         return subgroup
 
     return generated
-
-
-def _partition(homs: list[tuple[int, ...]], group: FiniteGroup, images):
-    """One (representative, size, centralizer order, image) row per class,
-    the fields of HomClass in order."""
-    # enumerate_homs lists homs in lexicographic order and conjugation maps
-    # homs to homs, so the first hom not yet seen is the least of its class.
-    # Conjugation by a product is the composite of conjugations, so the
-    # closure under conjugation by the generators is the whole class.
-    table, inverse = group.table, group.inverse
-    conjugations = [tuple(table[gx][inverse[g]] for gx in table[g]) for g in group.generators]
-    conjugations = [c for c in conjugations if c != table[group.identity]]  # drop central ones
-    centralizer = cache(partial(_centralizer, table))
-    everything = (1 << group.order) - 1
-    seen: set[tuple[int, ...]] = set()
-    classes = []
-    for rep, image in zip(homs, images):
-        if rep in seen:
-            continue
-        orbit, frontier = {rep}, [rep]
-        for hom in frontier:  # the frontier grows while it is walked
-            for conjugation in conjugations:
-                other = tuple(map(conjugation.__getitem__, hom))
-                if other not in orbit:
-                    orbit.add(other)
-                    frontier.append(other)
-        stabilizer = reduce(and_, map(centralizer, rep), everything).bit_count()
-        if len(orbit) * stabilizer != group.order:
-            raise RuntimeError("orbit-stabilizer mismatch in conjugacy computation")
-        seen |= orbit
-        classes.append((rep, len(orbit), stabilizer, image))
-    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -499,13 +495,12 @@ def chi_gamma_quotient(
     subgroup that some hom fills, the homs are walked one at a time in the
     order enumerate_homs lists them, up to the first image without data,
     so the error names the subgroup the listing path would name.  Every
-    other G lists the homs and computes the sum twice, once as the sum
-    over conjugacy classes of chi(fixed set of the image) / centralizer
-    order, and once as the average over all homomorphisms of chi(fixed
-    set); the two must agree exactly.  Both sums run over one
-    enumeration of the homomorphisms and one image per hom, a fold of
-    memoized subgroup joins.  The class sum is sum(chi * size) / |G|, as
-    size * centralizer order = |G| (checked).
+    other G lists the homs once and counts their images, folds of memoized
+    subgroup joins; the first image without data, in listing order, is
+    named.  Data that gives an image and its conjugate by a generator two
+    values is refused; the images are closed under conjugation, so this
+    covers every conjugate.  By orbit-stabilizer the average equals the
+    sum over hom classes of chi(fixed set of the image) / centralizer order.
     """
     n_gens = _check_hom_budget(gamma, group, budget)
     generator = _cyclic_generator(group)
@@ -516,28 +511,17 @@ def chi_gamma_quotient(
         generated = _subgroup_joins(group)
         for hom in _abelian_homs(gamma, group, n_gens):
             fixed.chi(generated(hom))  # raises at the first image without data
-    homs = enumerate_homs(gamma, group, budget)
-    images = list(map(_subgroup_joins(group), homs))
-    classes = _partition(homs, group, images)
-    by_classes = Fraction(sum(fixed.chi(image) * size for _, size, _, image in classes), group.order)
-    by_average = Fraction(
-        sum(fixed.chi(image) * count for image, count in Counter(images).items()), group.order
-    )
-    if by_classes != by_average:
-        # every image in a class is a conjugate of the representative's
-        for *_, image in classes:
-            for g in range(group.order):
-                other = frozenset(group.conjugate(g, x) for x in image)
-                if fixed.chi(other) != fixed.chi(image):
-                    raise ValueError(
-                        f"fixed-point data is not conjugation-invariant: conjugate "
-                        f"subgroups {sorted(image)} and {sorted(other)} have chi "
-                        f"{fixed.chi(image)} and {fixed.chi(other)}"
-                    )
-        raise RuntimeError(
-            f"sector sums disagree: {by_classes} by classes, {by_average} by average"
-        )
-    return by_classes
+    counts = Counter(map(_subgroup_joins(group), enumerate_homs(gamma, group, budget)))
+    chis = {image: fixed.chi(image) for image in counts}
+    for image, chi in chis.items():
+        for g in group.generators:
+            other = frozenset(group.conjugate(g, x) for x in image)
+            if chis[other] != chi:
+                raise ValueError(
+                    f"fixed-point data is not conjugation-invariant: conjugate subgroups "
+                    f"{sorted(image)} and {sorted(other)} have chi {chi} and {chis[other]}"
+                )
+    return Fraction(sum(chis[image] * count for image, count in counts.items()), group.order)
 
 
 def _cyclic_generator(group: FiniteGroup) -> int | None:

@@ -484,12 +484,16 @@ def test_quotient_subgroup_given_twice(run, tmp_path, repeat, expected):
 
 def test_quotient_conjugation_variant_data_exits_2(run, tmp_path):
     fpc = tmp_path / "fpc.json"
-    chars = {(0,): 2, (0, 1, 2): 2, (0, 3): 2, (0, 4): 0, (0, 5): 0, tuple(range(6)): 2}
-    fpc.write_text(json.dumps([{"subgroup": list(s), "chi": c} for s, c in chars.items()]))
-    code, out, err = run("quotient", "--group", "D6", "--fpc", str(fpc), "--gamma", "Z")
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and err.count("\n") == 1
-    assert "conjugate subgroups [0, 3] and [0, 4]" in err
+    # conjugate reflections valued 2, 0, 4 keep the sum over homs equal to the class sum
+    for reflections in ((2, 0, 0), (2, 0, 4)):
+        chars = {(0,): 2, (0, 1, 2): 2, (0, 1, 2, 3, 4, 5): 2}
+        chars.update(zip([(0, 3), (0, 4), (0, 5)], reflections))
+        fpc.write_text(json.dumps([{"subgroup": list(s), "chi": c} for s, c in chars.items()]))
+        for gamma in ("Z", "F_2"):
+            code, out, err = run("quotient", "--group", "D6", "--fpc", str(fpc), "--gamma", gamma)
+            assert (code, out) == (2, "")
+            assert err.startswith("error:") and err.count("\n") == 1
+            assert "conjugate subgroups [0, 3] and [0, 4]" in err
 
 
 @pytest.mark.parametrize(

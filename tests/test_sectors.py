@@ -474,12 +474,16 @@ def test_classes_match_conjugation_by_every_element(group):
 
 def test_conjugation_variant_data_still_refused():
     group = dihedral_group(3)
-    chars = {(0,): 2, (0, 1, 2): 2, (0, 3): 2, (0, 4): 0, (0, 5): 0, tuple(range(6)): 2}
-    fixed = FixedPointCharacter({frozenset(s): chi for s, chi in chars.items()})
     message = "not conjugation-invariant: conjugate subgroups [0, 3] and [0, 4] have chi 2 and 0"
-    for gamma in (FgAbelian(1), FreeGroup(2)):
-        with pytest.raises(ValueError, match=re.escape(message)):
-            chi_gamma_quotient(group, fixed, gamma)
+    # the reflections {0,3}, {0,4}, {0,5} are conjugate; with 2, 0, 4 the sum
+    # over homs equals the class sum through {0,3}, and it is refused all the same
+    for reflections in ((2, 0, 0), (2, 0, 4)):
+        chars = {(0,): 2, (0, 1, 2): 2, (0, 1, 2, 3, 4, 5): 2}
+        chars.update(zip([(0, 3), (0, 4), (0, 5)], reflections))
+        fixed = FixedPointCharacter({frozenset(s): chi for s, chi in chars.items()})
+        for gamma in (FgAbelian(1), FreeGroup(2)):
+            with pytest.raises(ValueError, match=re.escape(message)):
+                chi_gamma_quotient(group, fixed, gamma)
 
 
 @pytest.mark.parametrize("gamma", [FgAbelian(2), FreeGroup(2)])
@@ -534,11 +538,30 @@ def test_fixed_point_character_missing_entry():
     assert "[0, 2, 4]" in str(err.value)
 
 
+def _conjugates(group, subgroup) -> set[frozenset[int]]:
+    return {frozenset(group.conjugate(g, x) for x in subgroup) for g in range(group.order)}
+
+
 def test_quotient_missing_subgroup_names_it():
     group, fixed = rotation_sphere_action(6, 1)
     partial = FixedPointCharacter({frozenset({0}): 2})
-    with pytest.raises(FixedPointDataError):
+    with pytest.raises(FixedPointDataError) as err:
         chi_gamma_quotient(group, partial, FgAbelian(1))
+    assert str(err.value) == repr("no fixed-point value for subgroup [0, 1, 2, 3, 4, 5]")
+    # non-cyclic G, data that lacks one conjugacy class of subgroups: the
+    # error names the first hom image without data, in listing order
+    for group in (dihedral_group(3), dihedral_group(4)):
+        subgroups = {group.subgroup_closure(pair) for pair in product(range(group.order), repeat=2)}
+        for missing in {frozenset(_conjugates(group, subgroup)) for subgroup in subgroups}:
+            chars = {subgroup: 2 for subgroup in subgroups - missing}
+            for gamma in (FgAbelian(1), FgAbelian(2), FreeGroup(2)):
+                images = map(group.subgroup_closure, enumerate_homs(gamma, group))
+                first = next((image for image in images if image in missing), None)
+                if first is None:
+                    continue
+                with pytest.raises(FixedPointDataError) as err:
+                    chi_gamma_quotient(group, FixedPointCharacter(chars), gamma)
+                assert str(err.value) == repr(f"no fixed-point value for subgroup {sorted(first)}")
 
 
 def test_rotation_sphere_kernels():
@@ -655,6 +678,27 @@ def test_cyclic_sum_by_counting_matches_class_sum(monkeypatch):
             with monkeypatch.context() as patch:  # the counting path lists no homs
                 patch.setattr("orbichar.sectors.enumerate_homs", None)
                 assert chi_gamma_quotient(group, fixed, gamma) == expected, (group.order, gamma)
+
+
+@pytest.mark.parametrize(
+    "group",
+    [
+        *(group_by_name(name) for name in ("D6", "D8", "D12", "C2xC2", "C2xD6", "C3xC3")),
+        _relabelled(dihedral_group(5), 3),
+        _relabelled(group_by_name("C2xD6"), 4),
+    ],
+)
+def test_noncyclic_sum_matches_class_sum(group):
+    # the listing path sums over homs once; the class sum is its oracle
+    rng = random.Random(group.order)
+    images = {cls.image for gamma in COUNTING_BATTERY for cls in hom_classes(gamma, group)}
+    chars = {}
+    for image in images:
+        if image not in chars:  # one value per conjugacy class of subgroups
+            chars |= dict.fromkeys(_conjugates(group, image), rng.randrange(-6, 7))
+    fixed = FixedPointCharacter(chars)
+    for gamma in COUNTING_BATTERY:
+        assert chi_gamma_quotient(group, fixed, gamma) == _by_hom_classes(group, chars, gamma), gamma
 
 
 def test_cyclic_sum_by_counting_needs_only_the_images(monkeypatch):
