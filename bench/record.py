@@ -10,8 +10,9 @@ at the root: each workload's end-to-end metrics with `correct`,
 `latency_tail_ms`; the tier-1 wall time and outcome, the total line
 count of `src/orbichar/*.py` (`src_lines`) and each module's share of it
 (`src_lines_by_module`), the Python version, the CPU count and the git
-SHA of the checkout. Standard library only; nothing
-under `perfbench/` is changed.
+SHA of the checkout. It also writes `layers`, the per-layer timings on
+fixed inputs that `bench/layers.py` measures (see there). Standard
+library only; nothing under `perfbench/` is changed.
 """
 
 from __future__ import annotations
@@ -23,6 +24,8 @@ import platform
 import subprocess
 import sys
 import time
+
+import layers
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SEED = 1
@@ -94,6 +97,8 @@ def main(argv: list[str]) -> int:
         name = workload["name"]
         print(f"bench: {name} ...", file=sys.stderr, flush=True)
         record["workloads"][name] = run_workload(spec["command"], name, seconds)
+    print("bench: layers ...", file=sys.stderr, flush=True)
+    record["layers"] = layers.measure()
     print("bench: tier-1 tests ...", file=sys.stderr, flush=True)
     record["tier1"] = run_tier1()
     path = os.path.join(ROOT, f"BENCH_{argv[0]}.json")

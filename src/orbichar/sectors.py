@@ -75,10 +75,12 @@ class FixedPointDataError(KeyError):
 class FiniteGroup:
     """Explicit finite group: elements 0..order-1 with a multiplication table.
 
-    The table is validated on construction (closure, identity, inverses,
-    associativity) and immutable afterwards; it holds one int object per
-    element.  Associativity is checked over a generating set S only
-    (Light's test), kept as `generators`, at cost order**2 * |S|, and
+    A table given to the constructor or to from_json is validated (closure,
+    identity, inverses, associativity); builtin groups are built with their
+    identity and inverses in closed form and stored unchecked.  Either way
+    the group is immutable and its table holds one int object per element.
+    Associativity is checked over a greedy generating set S only (Light's
+    test), kept as `generators`, at cost order**2 * |S|, and
     |S| <= log2(order) for a group.
     """
 
@@ -114,25 +116,36 @@ class FiniteGroup:
                     break
             if inverse[a] is None:
                 raise ValueError(f"element {a} has no inverse")
+        self._store(rows, identity, inverse)
         # Light's test: the b with (ab)c = a(bc) for every a and c hold the
         # identity and are closed under the product, so checking b over a
         # set that reaches every element from the identity covers every b.
-        generators, reached = [], {identity}
-        for x in range(order):
-            if x not in reached:
-                generators.append(x)
-                reached = _right_closure(rows, identity, generators)
-        for b in generators:
+        for b in self.generators:
             for a in range(order):
                 ab = rows[a][b]
                 for c in range(order):
                     if rows[ab][c] != rows[a][rows[b][c]]:
                         raise ValueError(f"table is not associative at ({a},{b},{c})")
-        object.__setattr__(self, "order", order)
-        object.__setattr__(self, "table", rows)
-        object.__setattr__(self, "identity", identity)
-        object.__setattr__(self, "inverse", tuple(inverse))
-        object.__setattr__(self, "generators", tuple(generators))
+
+    @classmethod
+    def _trusted(cls, table, identity: int, inverse) -> "FiniteGroup":
+        """Store a group table unchecked, with its identity and inverses: a
+        tuple of tuples built in this module, one int object per element."""
+        group = object.__new__(cls)
+        group._store(table, identity, inverse)
+        return group
+
+    def _store(self, table, identity: int, inverse) -> None:
+        """Set the fields; the generators are chosen greedily, the least
+        element not yet reached from the identity until all are."""
+        generators, reached = [], {identity}
+        for x in range(len(table)):
+            if x not in reached:
+                generators.append(x)
+                reached = _right_closure(table, identity, generators)
+        values = (table, len(table), identity, tuple(inverse), tuple(generators))
+        for name, value in zip(("table", "order", "identity", "inverse", "generators"), values):
+            object.__setattr__(self, name, value)
 
     def mul(self, a: int, b: int) -> int:
         return self.table[a][b]
@@ -198,25 +211,25 @@ def _right_closure(table, identity: int, generators) -> set[int]:
 def cyclic_group(n: int) -> FiniteGroup:
     """Z/nZ; element i is the i-th power of the generator."""
     twice = tuple(range(check_int(n, "order", 1))) * 2  # row i is twice[i : i + n]
-    return FiniteGroup(tuple(twice[i : i + n] for i in range(n)))
+    return FiniteGroup._trusted(tuple(twice[i : i + n] for i in range(n)), 0, twice[n:0:-1])
 
 
 def dihedral_group(n: int) -> FiniteGroup:
     """Dihedral group of order 2n: indices 0..n-1 are the rotations r^i,
-    indices n..2n-1 are the reflections s*r^i."""
+    indices n..2n-1 are the reflections s*r^i, each its own inverse."""
     rotations = tuple(range(check_int(n, "rotation count", 1))) * 2
     reflections = tuple(range(n, 2 * n)) * 2
-    return FiniteGroup(
-        tuple(rotations[i : i + n] + reflections[n - i : 2 * n - i] for i in range(n))
-        + tuple(reflections[i : i + n] + rotations[n - i : 2 * n - i] for i in range(n))
-    )
+    rows = tuple(rotations[i : i + n] + reflections[n - i : 2 * n - i] for i in range(n))
+    rows += tuple(reflections[i : i + n] + rotations[n - i : 2 * n - i] for i in range(n))
+    return FiniteGroup._trusted(rows, 0, rotations[n:0:-1] + reflections[:n])
 
 
 def direct_product(a: FiniteGroup, b: FiniteGroup) -> FiniteGroup:
-    """Direct product; element (x, y) has index x * |b| + y."""
+    """Direct product; element (x, y) has index x * |b| + y.  Unchecked: a and b are groups."""
     nb, elements = b.order, tuple(range(a.order * b.order))
     rows = (tuple(elements[x * nb + y] for x in ra for y in rb) for ra in a.table for rb in b.table)
-    return FiniteGroup(tuple(rows))
+    inverse = (x * nb + y for x in a.inverse for y in b.inverse)
+    return FiniteGroup._trusted(tuple(rows), a.identity * nb + b.identity, inverse)
 
 
 def group_by_name(name: str) -> FiniteGroup:
@@ -268,7 +281,7 @@ def enumerate_homs(
     generators are capped by the budget: the parameter, a nonnegative int;
     else ORBICHAR_HOM_BUDGET, nonnegative decimal digits; else 10**7.
     """
-    n_gens = _check_hom_budget(gamma, group, budget)
+    n_gens, _ = _check_hom_budget(gamma, group, budget)
     if group.order == 1 or n_gens == 0:  # one hom; a prefix search would be quadratic in the rank
         return [(group.identity,) * n_gens]
     table, identity, elements = group.table, group.identity, range(group.order)
@@ -298,9 +311,11 @@ def enumerate_homs(
     return homs
 
 
-def _check_hom_budget(gamma: GammaDescriptor, group: FiniteGroup, budget: int | None) -> int:
-    """The number of generators of the described group, once the search
-    space |G|**generators and the generator count are within the budget."""
+def _check_hom_budget(
+    gamma: GammaDescriptor, group: FiniteGroup, budget: int | None
+) -> tuple[int, int]:
+    """The generator count of the described group and the resolved budget,
+    once the search space |G|**generators and the count are within it."""
     if isinstance(gamma, Presented):
         n_gens = len(gamma.generators)
     elif isinstance(gamma, FreeGroup):
@@ -317,7 +332,7 @@ def _check_hom_budget(gamma: GammaDescriptor, group: FiniteGroup, budget: int | 
             f"homs on {n_gens} generators into a group of order {group.order} "
             f"exceed the budget of {budget}"
         )
-    return n_gens
+    return n_gens, budget
 
 
 def _centralizer(table, x: int) -> int:
@@ -459,7 +474,10 @@ class FixedPointCharacter:
             for e in entries
         ):
             raise ValueError("fixed-point data must be a list of subgroup/chi objects")
-        return cls(_chars_by_subgroup((entry["subgroup"], entry["chi"]) for entry in entries))
+        fixed = object.__new__(cls)  # the entries are validated once, here
+        chars = _chars_by_subgroup((entry["subgroup"], entry["chi"]) for entry in entries)
+        object.__setattr__(fixed, "chars", chars)
+        return fixed
 
 
 def _chars_by_subgroup(pairs) -> dict[frozenset[int], int]:
@@ -502,7 +520,7 @@ def chi_gamma_quotient(
     covers every conjugate.  By orbit-stabilizer the average equals the
     sum over hom classes of chi(fixed set of the image) / centralizer order.
     """
-    n_gens = _check_hom_budget(gamma, group, budget)
+    n_gens, budget = _check_hom_budget(gamma, group, budget)  # resolved once, passed on
     generator = _cyclic_generator(group)
     if generator is not None:
         counted = _sum_by_counting(group, fixed, gamma, generator)

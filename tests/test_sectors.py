@@ -1,5 +1,6 @@
 """Finite groups, hom enumeration, conjugacy, and sector sums."""
 
+import importlib
 import json
 import random
 import re
@@ -8,6 +9,7 @@ import tracemalloc
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, product
+from pathlib import Path
 
 import pytest
 
@@ -177,9 +179,11 @@ def test_associativity_check_agrees_with_triple_loop():
 
 
 def test_large_cyclic_group_validates_quickly():
-    # the triple loop took about 40 s at order 800
+    # the triple loop took about 40 s at order 800; cyclic_group itself
+    # stores its table unchecked, so the table is validated here directly
+    table = cyclic_group(800).table
     start = time.process_time()  # CPU time: a loaded host must not fail the bound
-    assert cyclic_group(800).order == 800
+    assert FiniteGroup(table).order == 800
     assert time.process_time() - start < 1
 
 
@@ -195,7 +199,10 @@ def test_group_by_name_weighs_the_table_before_building_it():
 
 def test_groups_and_fixed_point_data_are_immutable():
     group, fixed = rotation_sphere_action(6, 1)
-    for value, fields in ((group, ("table", "order", "identity", "inverse")), (fixed, ("chars",))):
+    group_fields = ("table", "order", "identity", "inverse", "generators")
+    # a validated table, and builtin groups stored unchecked (a product too)
+    groups = (FiniteGroup(group.table), group, group_by_name("D12xC3"))
+    for value, fields in [(g, group_fields) for g in groups] + [(fixed, ("chars",))]:
         for name in fields:
             with pytest.raises(AttributeError):
                 setattr(value, name, None)
@@ -261,6 +268,61 @@ def test_generators_generate_the_group(name):
         assert group.subgroup_closure(group.generators) == frozenset(range(group.order))
         assert 2 ** len(group.generators) <= group.order
         assert group.identity not in group.generators
+
+
+def _image_group_names(monkeypatch):
+    """The benchmark's IMAGE_GROUPS; its modules import each other by bare name."""
+    monkeypatch.syspath_prepend(str(Path(__file__).parents[1] / "perfbench"))
+    return importlib.import_module("workloads").IMAGE_GROUPS
+
+
+def _quotient_outcome(group, fixed, gamma):
+    try:
+        return chi_gamma_quotient(group, fixed, gamma)
+    except ValueError as exc:
+        return str(exc)
+
+
+def test_builtin_groups_match_their_validated_tables(monkeypatch):
+    # cyclic_group, dihedral_group and direct_product store their tables
+    # unchecked; FiniteGroup(table) validates the same table from scratch
+    start = time.process_time()  # CPU time: a loaded host must not fail the bound
+    images = [group_by_name(name) for name in _image_group_names(monkeypatch)]
+    images += [
+        direct_product(_relabelled(dihedral_group(3), 5), cyclic_group(4)),
+        direct_product(cyclic_group(3), _relabelled(dihedral_group(4), 6)),
+        direct_product(_relabelled(cyclic_group(6), 7), _relabelled(group_by_name("C2xC2"), 8)),
+    ]
+    groups = [cyclic_group(n) for n in range(1, 61)] + [dihedral_group(n) for n in range(1, 61)]
+    # int objects above 256 are not cached, so only a larger table shows
+    # whether its entries are shared
+    large = direct_product(_relabelled(dihedral_group(3), 9), cyclic_group(45))
+    for group in groups + images + [large]:
+        checked = FiniteGroup(group.table)
+        assert group.order == checked.order
+        assert group.table == checked.table and group.identity == checked.identity
+        assert group.inverse == checked.inverse and group.generators == checked.generators
+        assert len({id(entry) for row in group.table for entry in row}) == group.order
+    # the class order and the pair that a conjugation-variant error names
+    # follow the generators, so both groups must give the same output
+    refused = 0
+    for group in images + groups[:8] + groups[60:62]:  # C1-C8, D2 and D4
+        checked = FiniteGroup(group.table)
+        for gamma in (FreeGroup(2), FgAbelian(2)):
+            assert hom_classes(gamma, group) == hom_classes(gamma, checked)
+        # chi of a cyclic subgroup is the sum of its elements, which the
+        # conjugate reflection subgroups of every non-abelian group here differ in
+        cyclic = {cls.image for cls in hom_classes(FgAbelian(1), checked)}
+        subgroups = set().union(*(_conjugates(checked, image) for image in cyclic))
+        fixed = FixedPointCharacter({subgroup: sum(subgroup) for subgroup in subgroups})
+        outcome = _quotient_outcome(group, fixed, FgAbelian(1))
+        assert outcome == _quotient_outcome(checked, fixed, FgAbelian(1))
+        table = group.table
+        abelian = all(table[a][b] == table[b][a] for a in range(group.order) for b in range(a))
+        assert isinstance(outcome, str) == (not abelian)
+        refused += not abelian
+    assert refused >= 20  # both verdicts are well represented
+    assert time.process_time() - start < 2
 
 
 # ---------------------------------------------------------------------------
