@@ -14,6 +14,7 @@ import os
 import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
+from functools import cache
 from math import gcd
 from pathlib import Path
 
@@ -103,7 +104,7 @@ def parse_gamma_spec(spec: str) -> GammaDescriptor:
 
 def _parse_json(text: str):
     try:  # nesting too deep for the decoder is malformed input, not a crash
-        return json.loads(text)
+        return json.loads(text, parse_int=cache(int))  # equal ints share one object
     except RecursionError:
         raise ValueError("JSON document is nested too deeply") from None
 

@@ -26,7 +26,7 @@ from fractions import Fraction
 from functools import cache, partial, reduce
 from itertools import product
 from math import gcd, lcm, prod
-from operator import and_, is_
+from operator import and_
 
 from .core import (
     FgAbelian,
@@ -76,9 +76,10 @@ class FiniteGroup:
     """Explicit finite group: elements 0..order-1 with a multiplication table.
 
     A table given to the constructor or to from_json is validated (closure,
-    identity, inverses, associativity); builtin groups are built with their
-    identity and inverses in closed form and stored unchecked.  Either way
-    the group is immutable and its table holds one int object per element.
+    identity, inverses, associativity) and each row copied once onto the
+    ints of range(order); builtin groups are built with their identity and
+    inverses in closed form and stored unchecked.  Either way the group is
+    immutable and its table holds one int object per element.
     Associativity is checked over a greedy generating set S only (Light's
     test), kept as `generators`, at cost order**2 * |S|, and
     |S| <= log2(order) for a group.
@@ -91,23 +92,21 @@ class FiniteGroup:
     generators: tuple[int, ...] = field(init=False)
 
     def __post_init__(self):
-        rows = tuple(map(tuple, self.table))
+        rows = list(map(tuple, self.table))
         order = len(rows)
         if order == 0 or any(len(row) != order for row in rows):
             raise ValueError("multiplication table must be square and nonempty")
-        for row in rows:
+        elements = tuple(range(order))
+        for i, row in enumerate(rows):  # each row in turn onto one int object per element
             for entry in row:
                 if type(entry) is not int or not 0 <= entry < order:
                     raise ValueError(f"table entry {entry!r} out of range")
-        identity = None
-        for e in range(order):
-            if all(rows[e][x] == x == rows[x][e] for x in range(order)):
-                identity = e
-                break
+            rows[i] = tuple(map(elements.__getitem__, row))
+        identity = next(  # the first whose row and column both read 0..order-1
+            (e for e in elements if rows[e] == elements == tuple(row[e] for row in rows)), None
+        )
         if identity is None:
             raise ValueError("table has no identity element")
-        shared = rows[identity].__getitem__  # one int object per element; copy rows that differ
-        rows = tuple(r if all(map(is_, r, map(shared, r))) else tuple(map(shared, r)) for r in rows)
         inverse = [None] * order
         for a in range(order):
             for b in range(order):
@@ -116,7 +115,7 @@ class FiniteGroup:
                     break
             if inverse[a] is None:
                 raise ValueError(f"element {a} has no inverse")
-        self._store(rows, identity, inverse)
+        self._store(tuple(rows), identity, inverse)
         # Light's test: the b with (ab)c = a(bc) for every a and c hold the
         # identity and are closed under the product, so checking b over a
         # set that reaches every element from the identity covers every b.
@@ -436,7 +435,8 @@ def _subgroup_joins(group: FiniteGroup):
 class FixedPointCharacter:
     """Euler characteristic of the fixed set, per subgroup.
 
-    Keys are subgroups given as frozen sets of element indices; the data
+    Given as a dict or as (subgroup, chi) pairs of ints, kept keyed by
+    frozen set; a subgroup given twice must get one chi.  The data
     must cover every subgroup generated by the images of the homomorphisms
     being summed over.  chi_top is not monotone in the subgroup, so no
     consistency between nested subgroups is imposed.
@@ -445,7 +445,8 @@ class FixedPointCharacter:
     chars: dict[frozenset[int], int]
 
     def __post_init__(self):
-        object.__setattr__(self, "chars", _chars_by_subgroup(dict(self.chars).items()))
+        pairs = self.chars.items() if isinstance(self.chars, dict) else self.chars
+        object.__setattr__(self, "chars", _chars_by_subgroup(pairs))
 
     def chi(self, subgroup: frozenset[int]) -> int:
         try:
@@ -466,18 +467,12 @@ class FixedPointCharacter:
 
     @classmethod
     def from_json(cls, entries) -> "FixedPointCharacter":
-        if not isinstance(entries, list) or not all(
-            isinstance(e, dict)
-            and isinstance(e.get("subgroup"), list)
-            and all(type(x) is int for x in e["subgroup"])
-            and type(e.get("chi")) is int
-            for e in entries
-        ):
-            raise ValueError("fixed-point data must be a list of subgroup/chi objects")
-        fixed = object.__new__(cls)  # the entries are validated once, here
-        chars = _chars_by_subgroup((entry["subgroup"], entry["chi"]) for entry in entries)
-        object.__setattr__(fixed, "chars", chars)
-        return fixed
+        kind = "fixed-point entry"
+        if isinstance(entries, list) and all(isinstance(e, dict) for e in entries):
+            pairs = [(json_field(e, "subgroup", kind), json_field(e, "chi", kind)) for e in entries]
+            if all(isinstance(subgroup, list) for subgroup, _ in pairs):
+                return cls(pairs)
+        raise ValueError("fixed-point data must be a list of subgroup/chi objects")
 
 
 def _chars_by_subgroup(pairs) -> dict[frozenset[int], int]:
@@ -485,12 +480,11 @@ def _chars_by_subgroup(pairs) -> dict[frozenset[int], int]:
     be ints, and a subgroup listed twice must get the same chi both times."""
     chars = {}
     for subgroup, chi in pairs:
-        subgroup = frozenset(subgroup)
         if type(chi) is not int or any(type(x) is not int for x in subgroup):
             raise ValueError(
-                f"fixed-point chi {chi!r} and subgroup elements {set(subgroup)!r} "
-                "must be ints"
+                f"fixed-point chi {chi!r} and subgroup elements {subgroup!r} must be ints"
             )
+        subgroup = frozenset(subgroup)
         if chars.setdefault(subgroup, chi) != chi:
             raise ValueError(
                 f"fixed-point data gives subgroup {sorted(subgroup)} two values, "

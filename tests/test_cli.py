@@ -12,6 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from orbichar import cli
 from orbichar.classify import char_sequence
 from orbichar.cli import _CONE_MEMO_SIZE, _cone_text, _count_digits, _signature_line, main
 from orbichar.constructions import build_collision_pair, expand_family
@@ -87,6 +88,8 @@ _MISSING_FIELD = {
     '{"cones":[]}': "genus",
     '{"genus":0,"cones":[{"count":1}]}': "order",
     '{"order":1}': "table",
+    '[{"chi":2}]': "subgroup",
+    '[{"subgroup":[0]}]': "chi",
 }
 
 
@@ -289,6 +292,23 @@ def test_construct_bad_seed_count_exits_2(run):
     code, _, err = run("construct", "--L", "4", "--g", "0", "--orders", "2")
     assert code == 2
     assert err
+
+
+_SIGMA_0_3_3, _SIGMA_0_4_4 = OrbifoldSignature.from_orders(0, 3, 3), OrbifoldSignature.from_orders(0, 4, 4)
+
+
+@pytest.mark.parametrize(
+    "pair, message",
+    [
+        ((_SIGMA_0_3_3, _SIGMA_0_3_3), "family members are not pairwise distinct"),
+        ((_SIGMA_0_3_3, _SIGMA_0_4_4), "family characteristics differ at level 0"),
+    ],
+)
+def test_construct_refused_by_its_own_verification_exits_4(run, monkeypatch, pair, message):
+    # a base pair that breaks the family: the check before returning refuses it
+    monkeypatch.setattr("orbichar.constructions.base_pair", lambda genus, seed: pair)
+    code, out, err = run("construct", "--L", "2", "--g", "0", "--orders", "3")
+    assert (code, out, err) == (4, "", f"error: {message}\n")
 
 
 def test_reconstruct_round_trip(run):
@@ -505,6 +525,8 @@ def test_quotient_conjugation_variant_data_exits_2(run, tmp_path):
         ("--fpc", '[{"subgroup":[0],"chi":null}]'),
         ("--fpc", '[{"subgroup":[[0]],"chi":2}]'),
         ("--fpc", '[{"subgroup":[0],"chi":true},{"subgroup":[0,1,2],"chi":2}]'),
+        ("--fpc", '[{"chi":2}]'),
+        ("--fpc", '[{"subgroup":[0]}]'),
         ("--group", '{"table":5}'),
         ("--group", "[[0]]"),
         ("--group", '{"table":[5]}'),
@@ -758,6 +780,22 @@ def test_verify_scenarios_pass(run, example):
     assert code == 0
     assert "FAIL" not in out
     assert "PASS" in out
+
+
+def test_verify_scenario_with_a_failing_check_exits_4(run, monkeypatch):
+    checks = [(True, "first check"), (False, "second check")]
+    monkeypatch.setitem(cli._SCENARIOS, "basecase", lambda: checks)
+    code, out, err = run("verify-paper", "basecase")
+    assert (code, err) == (4, "")
+    assert out.splitlines() == ["PASS: first check", "FAIL: second check", "basecase: 1/2 checks passed"]
+
+
+def test_verify_scenario_whose_family_fails_verification_exits_4(run, monkeypatch):
+    # distinct values per member: general_gamma_family refuses its own family
+    monkeypatch.setattr("orbichar.constructions.chi_gamma", lambda sig, gamma: sig)
+    code, out, err = run("verify-paper", "generaldim")
+    assert (code, out) == (4, "")
+    assert err.startswith("error: family characteristics differ for FgAbelian(") and err.count("\n") == 1
 
 
 _VERIFY_SHA256 = {

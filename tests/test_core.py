@@ -219,6 +219,8 @@ def test_presented_rejects_bad_words():
         Presented(("x", "x"), ())
     with pytest.raises(ValueError):
         Presented(("x",), ("x^٣",))
+    with pytest.raises(ValueError, match="empty relator word"):
+        Presented(("x",), ("",))
 
 
 def test_presented_keeps_parsed_words_out_of_equality_and_repr():

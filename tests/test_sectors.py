@@ -39,7 +39,8 @@ from orbichar import (
     rotation_kernel,
     rotation_sphere_action,
 )
-from orbichar.core import parse_word
+from orbichar.cli import _parse_json
+from orbichar.core import GammaSupportError, parse_word
 
 BATTERY = (
     FgAbelian(0),
@@ -92,6 +93,9 @@ def test_group_by_name():
 
 
 def test_table_validation():
+    for table in ([], [[0, 1], [1]], [[0], [0]]):
+        with pytest.raises(ValueError, match="^multiplication table must be square and nonempty$"):
+            FiniteGroup(table)
     with pytest.raises(ValueError):
         FiniteGroup([[0, 1], [1, 1]])  # 1 has no inverse
     with pytest.raises(ValueError):
@@ -185,6 +189,21 @@ def test_large_cyclic_group_validates_quickly():
     start = time.process_time()  # CPU time: a loaded host must not fail the bound
     assert FiniteGroup(table).order == 800
     assert time.process_time() - start < 1
+
+
+def test_json_table_is_held_once():
+    # the decoded rows and the group's own table, which shares the decoder's
+    # ints: a third copy of the 8-byte references would pass 3 * 8 * n**2
+    n = 600
+    text = json.dumps(cyclic_group(n).to_json())
+    tracemalloc.start()
+    try:
+        group = FiniteGroup.from_json(_parse_json(text))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group.table == cyclic_group(n).table
+    assert peak < 3 * 8 * n * n
 
 
 def test_group_by_name_weighs_the_table_before_building_it():
@@ -441,6 +460,13 @@ def test_enumerate_homs_matches_brute_force(gamma, name):
     assert enumerate_homs(gamma, group) == brute_force_homs(gamma, group)
 
 
+def test_unsupported_descriptor_is_refused():
+    with pytest.raises(TypeError, match="unsupported group descriptor: 'Z'"):
+        enumerate_homs("Z", cyclic_group(2))
+    with pytest.raises(GammaSupportError, match="unsupported group descriptor: 'Z'"):
+        abelianize("Z")
+
+
 def test_trivial_group_admits_huge_rank():
     start = time.process_time()  # CPU time: a loaded host must not fail the bound
     assert enumerate_homs(FgAbelian(10**6), cyclic_group(1)) == [(0,) * 10**6]
@@ -586,7 +612,15 @@ def test_loaders_reject_booleans(load):
 
 @pytest.mark.parametrize(
     "chars",
-    [{frozenset({0}): 2.7}, {(0, 1): "3"}, {(0,): True}, {(0.0,): 2}, {(True,): 2}],
+    [
+        {frozenset({0}): 2.7},
+        {(0, 1): "3"},
+        {(0,): True},
+        {(0.0,): 2},
+        {(True,): 2},
+        [([[0]], 2)],  # an unhashable element is named, not hashed
+        [((0,), None)],
+    ],
 )
 def test_fixed_point_character_rejects_non_int(chars):
     with pytest.raises(ValueError):
@@ -624,6 +658,11 @@ def test_quotient_missing_subgroup_names_it():
                 with pytest.raises(FixedPointDataError) as err:
                     chi_gamma_quotient(group, FixedPointCharacter(chars), gamma)
                 assert str(err.value) == repr(f"no fixed-point value for subgroup {sorted(first)}")
+    # C1 without data for its one subgroup: the walk over its one hom names it
+    for gamma in (FgAbelian(0), FgAbelian(1), FreeGroup(2)):
+        with pytest.raises(FixedPointDataError) as err:
+            chi_gamma_quotient(cyclic_group(1), FixedPointCharacter({}), gamma)
+        assert str(err.value) == repr("no fixed-point value for subgroup [0]")
 
 
 def test_rotation_sphere_kernels():
@@ -632,6 +671,9 @@ def test_rotation_sphere_kernels():
     assert rotation_kernel(6, 3) == frozenset({0, 2, 4})
     with pytest.raises(ValueError):
         rotation_kernel(6, 6)
+    for step in (0, 6):
+        with pytest.raises(ValueError, match=re.escape("1 <= step < 6")):
+            rotation_sphere_action(6, step)
 
 
 def test_rotation_sphere_action_covers_all_subgroups():
@@ -686,6 +728,9 @@ def test_fixed_point_data_with_two_values_for_a_subgroup_is_refused():
     # two keys that name one subgroup
     with pytest.raises(ValueError, match=re.escape("subgroup [0, 3] two values, 2 and 0")):
         FixedPointCharacter({(0, 3): 2, (3, 0): 0})
+    # pairs are read as given: the second value is not dropped
+    with pytest.raises(ValueError, match=re.escape("subgroup [0, 3] two values, 2 and 5")):
+        FixedPointCharacter([((0, 3), 2), ((0, 3), 5)])
 
 
 def test_fixed_point_data_repeated_with_one_value_is_accepted():
@@ -693,6 +738,7 @@ def test_fixed_point_data_repeated_with_one_value_is_accepted():
     assert fixed.to_json() == [{"subgroup": [0], "chi": 2}]
     fixed = FixedPointCharacter({(0, 3): 2, (3, 0): 2, frozenset({0}): 2})
     assert fixed.subgroups() == [frozenset({0}), frozenset({0, 3})]
+    assert FixedPointCharacter([([0, 3], 2)]).chars == {frozenset({0, 3}): 2}
 
 
 # ---------------------------------------------------------------------------
