@@ -13,8 +13,18 @@ fixed inputs, an entry holds:
 - `sha256`: the digest of the call's output as compact JSON, so that a
   changed result shows next to a changed time.
 
-Layers so far: `group_by_name` on C60, D40, D12xC3 and C6xC6, each output
-written with `FiniteGroup.to_json()`. Standard library only.
+Layers so far:
+
+- `group_by_name` on C60, D40, D12xC3 and C6xC6, each output written with
+  `FiniteGroup.to_json()`;
+- `chi_gamma_quotient` on D38 F_2, D40 Z^3, D12xC3 Z+Z/2, C200 Z^2 and
+  C1000 Z^2, and on C1000 Z^2 with the whole group's value left out (the
+  walk that names the missing subgroup). The fixed-point data, built
+  before timing, gives every subgroup that a hom reaches chi = |H| mod 5
+  - 2, which is conjugation-invariant; the output is the value as "p/q"
+  or the error text.
+
+Standard library only.
 """
 
 from __future__ import annotations
@@ -29,30 +39,67 @@ import time
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from orbichar import group_by_name  # noqa: E402
+from orbichar import (  # noqa: E402
+    FgAbelian,
+    FixedPointCharacter,
+    FixedPointDataError,
+    FreeGroup,
+    chi_gamma_quotient,
+    enumerate_homs,
+    format_rational,
+    group_by_name,
+)
 
 ROUNDS, REPEATS, NUMBER = 9, 10, 20
 GROUP_NAMES = ("C60", "D40", "D12xC3", "C6xC6")
+# (group, Γ spec, Γ, whether the whole group's value is left out, calls
+# per timing): a quotient call takes 0.05-10 ms, so each input times about
+# 10 ms of calls, fewer repeats than the other layers
+QUOTIENTS = (
+    ("D38", "F_2", FreeGroup(2), False, 2),
+    ("D40", "Z^3", FgAbelian(3), False, 2),
+    ("D12xC3", "Z+Z/2", FgAbelian(1, (2,)), False, 20),
+    ("C200", "Z^2", FgAbelian(2), False, 100),
+    ("C1000", "Z^2", FgAbelian(2), False, 40),
+    ("C1000", "Z^2", FgAbelian(2), True, 20),
+)
+QUOTIENT_REPEATS = 5
 
 
 def _digest(value) -> str:
     return hashlib.sha256(json.dumps(value, separators=(",", ":")).encode()).hexdigest()
 
 
-def time_call(call) -> dict:
-    """Median and quartile spread over rounds of the best-of-REPEATS time
-    of NUMBER calls, in ms per call."""
+def time_call(call, repeats: int = REPEATS, number: int = NUMBER) -> dict:
+    """Median and quartile spread over rounds of the best-of-repeats time
+    of number calls, in ms per call."""
     rounds = []
     for _ in range(ROUNDS):
         best = float("inf")
-        for _ in range(REPEATS):
+        for _ in range(repeats):
             start = time.process_time()
-            for _ in range(NUMBER):
+            for _ in range(number):
                 call()
             best = min(best, time.process_time() - start)
-        rounds.append(best / NUMBER * 1e3)
+        rounds.append(best / number * 1e3)
     q1, _, q3 = statistics.quantiles(rounds, n=4)
     return {"ms": statistics.median(rounds), "iqr_ms": q3 - q1}
+
+
+def _reached(name: str, group, gamma) -> set:
+    """Every subgroup that is the image of a hom gamma -> group.  In a
+    cyclic group each subgroup is some <x>, the image of (x, e, ...)."""
+    if name.startswith("C") and "x" not in name:
+        return {group.subgroup_closure([x]) for x in range(group.order)}
+    return {group.subgroup_closure(hom) for hom in enumerate_homs(gamma, group)}
+
+
+def _quotient(group, fixed, gamma) -> str:
+    """The sector sum as "p/q", or the text of the missing-data error."""
+    try:
+        return format_rational(chi_gamma_quotient(group, fixed, gamma))
+    except FixedPointDataError as exc:
+        return str(exc)
 
 
 def measure() -> dict:
@@ -61,6 +108,17 @@ def measure() -> dict:
         entry = time_call(lambda name=name: group_by_name(name))
         entry["sha256"] = _digest(group_by_name(name).to_json())
         groups[name] = entry
+    quotients = {}
+    for name, spec, gamma, without_whole, number in QUOTIENTS:
+        group = group_by_name(name)
+        reached = _reached(name, group, gamma)
+        if without_whole:
+            reached.discard(frozenset(range(group.order)))
+        fixed = FixedPointCharacter({h: len(h) % 5 - 2 for h in reached})  # built before timing
+        call = lambda group=group, fixed=fixed, gamma=gamma: _quotient(group, fixed, gamma)
+        entry = time_call(call, QUOTIENT_REPEATS, number)
+        entry["number"], entry["sha256"] = number, _digest(call())
+        quotients[f"{name} {spec}{' without G' if without_whole else ''}"] = entry
     return {
         "group_by_name": {
             "unit": "ms per call",
@@ -68,7 +126,13 @@ def measure() -> dict:
             "repeats": REPEATS,
             "number": NUMBER,
             "inputs": groups,
-        }
+        },
+        "chi_gamma_quotient": {
+            "unit": "ms per call",
+            "rounds": ROUNDS,
+            "repeats": QUOTIENT_REPEATS,
+            "inputs": quotients,
+        },
     }
 
 

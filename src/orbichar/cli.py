@@ -102,9 +102,9 @@ def parse_gamma_spec(spec: str) -> GammaDescriptor:
         raise GammaSupportError(str(exc)) from exc
 
 
-def _parse_json(text: str):
+def _parse_json(text: str, parse_int=None):
     try:  # nesting too deep for the decoder is malformed input, not a crash
-        return json.loads(text, parse_int=cache(int))  # equal ints share one object
+        return json.loads(text, parse_int=parse_int)  # None: the default decoder
     except RecursionError:
         raise ValueError("JSON document is nested too deeply") from None
 
@@ -120,8 +120,9 @@ def load_signature(text: str) -> OrbifoldSignature:
 
 
 def load_group(text: str) -> FiniteGroup:
-    if os.path.exists(text):
-        return FiniteGroup.from_json(_parse_json(Path(text).read_text(encoding="utf-8")))
+    if os.path.exists(text):  # equal ints of the table share one object
+        document = _parse_json(Path(text).read_text(encoding="utf-8"), parse_int=cache(int))
+        return FiniteGroup.from_json(document)
     return group_by_name(text)
 
 
@@ -224,11 +225,10 @@ def cmd_chi(args) -> int:
 def cmd_construct(args) -> int:
     level = parse_int(args.level)
     seeds = [parse_int(part.strip()) for part in args.orders.split(",") if part.strip()]
-    pair = build_collision_pair(level, parse_int(args.genus), seeds, equalize=args.equalize)
-    if args.members is None:
-        family = list(pair)
-    else:
-        family = expand_family(*pair, parse_int(args.members), level)
+    genus = parse_int(args.genus)
+    members = None if args.members is None else parse_int(args.members)  # before any build
+    pair = build_collision_pair(level, genus, seeds, equalize=args.equalize)
+    family = list(pair) if members is None else expand_family(*pair, members, level)
     # Every number is converted before the first write: one past the
     # int->str digit limit must leave stdout empty, not half a document.
     digits = _count_digits({count for sig in family for _, count in sig.cones})

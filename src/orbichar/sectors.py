@@ -11,8 +11,9 @@ subgroup, which is all the sector sum needs.
 non-cyclic group takes, enumerate homomorphisms and so are an independent
 oracle for the closed-form characteristics in `core`; the listing path
 sums over the homs once, as orbit-stabilizer allows.  A cyclic group is
-summed by counting homs per image with `core.hom_count_cyclic` instead.
-The test suite compares both paths with class sums from `hom_classes`.
+summed by counting homs per image with `core.hom_count_cyclic` instead;
+the count names a missing subgroup itself.  The test suite compares both
+paths with class sums from `hom_classes`.
 Mirrored cylinders use the closed form of their orientable double; their
 dihedral class sums are a test oracle.
 """
@@ -273,9 +274,8 @@ def enumerate_homs(
 
     Images are chosen one generator at a time and a prefix is dropped once
     it fails: abelian descriptors draw each image from the common
-    centralizer of the ones before it (and need x**d = e at a torsion
-    generator of order d); a relator is
-    checked as soon as its highest generator has an image.  Homs come in
+    centralizer of the ones before it, among the _image_options; a relator
+    is checked as soon as its highest generator has an image.  Homs come in
     lexicographic order.  The search space |G|**generators and the number of
     generators are capped by the budget: the parameter, a nonnegative int;
     else ORBICHAR_HOM_BUDGET, nonnegative decimal digits; else 10**7.
@@ -288,8 +288,7 @@ def enumerate_homs(
         centralizer = cache(partial(_centralizer, table))
         allowed = [
             cache(lambda common, options=options: [x for x in options if common >> x & 1])
-            for options in [elements] * gamma.rank
-            + [[x for x in elements if group.power(x, d) == identity] for d in gamma.torsion]
+            for options in _image_options(gamma, group, n_gens)
         ]
         prefixes = [((), (1 << group.order) - 1)]  # with the common centralizer of their images
         for among in allowed[:-1]:
@@ -339,6 +338,18 @@ def _centralizer(table, x: int) -> int:
     row = table[x]
     bits = ("1" if row[g] == table[g][x] else "0" for g in reversed(range(len(table))))
     return int("".join(bits), 2)
+
+
+def _image_options(gamma: GammaDescriptor, group: FiniteGroup, n_gens: int) -> list:
+    """The candidate images of each generator: any element, but a torsion
+    generator of order d maps to the x with d % element_order(x) == 0."""
+    elements = range(group.order)
+    options = [elements] * n_gens
+    if isinstance(gamma, FgAbelian):
+        options[gamma.rank:] = (
+            [x for x in elements if d % group.element_order(x) == 0] for d in gamma.torsion
+        )
+    return options
 
 
 def _evaluate(group: FiniteGroup, word, images: tuple[int, ...]) -> int:
@@ -503,26 +514,18 @@ def chi_gamma_quotient(
     all homomorphisms of chi(fixed set of the image).
 
     The budget is checked first and refuses the same inputs on both paths.
-    A cyclic G lists no homs: see _sum_by_counting.  When its data lacks a
-    subgroup that some hom fills, the homs are walked one at a time in the
-    order enumerate_homs lists them, up to the first image without data,
-    so the error names the subgroup the listing path would name.  Every
-    other G lists the homs once and counts their images, folds of memoized
-    subgroup joins; the first image without data, in listing order, is
-    named.  Data that gives an image and its conjugate by a generator two
-    values is refused; the images are closed under conjugation, so this
-    covers every conjugate.  By orbit-stabilizer the average equals the
-    sum over hom classes of chi(fixed set of the image) / centralizer order.
+    A cyclic G lists no homs: _sum_by_counting counts them and names a
+    missing subgroup itself.  Every other G lists the homs once and counts
+    their images, folds of memoized subgroup joins, and names the first
+    image without data in listing order.  Data that gives an image and its
+    conjugate by a generator two values is refused; images are closed under
+    conjugation, so this covers every conjugate.  By orbit-stabilizer the
+    average is the sum over hom classes of chi(fixed set) / centralizer order.
     """
     n_gens, budget = _check_hom_budget(gamma, group, budget)  # resolved once, passed on
     generator = _cyclic_generator(group)
     if generator is not None:
-        counted = _sum_by_counting(group, fixed, gamma, generator)
-        if counted is not None:
-            return counted
-        generated = _subgroup_joins(group)
-        for hom in _abelian_homs(gamma, group, n_gens):
-            fixed.chi(generated(hom))  # raises at the first image without data
+        return _sum_by_counting(group, fixed, gamma, generator, n_gens)
     counts = Counter(map(_subgroup_joins(group), enumerate_homs(gamma, group, budget)))
     chis = {image: fixed.chi(image) for image in counts}
     for image, chi in chis.items():
@@ -551,31 +554,12 @@ def _cyclic_generator(group: FiniteGroup) -> int | None:
     return next(x for x in range(group.order) if group.element_order(x) == group.order)
 
 
-def _abelian_homs(gamma: GammaDescriptor, group: FiniteGroup, n_gens: int):
-    """The homs enumerate_homs lists into an abelian group, one at a time
-    and in the same lexicographic order: every centralizer is the whole
-    group, so they are the tuples of allowed images that satisfy the
-    relators."""
-    if group.order == 1:  # one hom, as there
-        return iter([(group.identity,) * n_gens])
-    elements, identity = range(group.order), group.identity
-    options, words = [elements] * n_gens, ()
-    if isinstance(gamma, FgAbelian):
-        options[gamma.rank:] = (
-            [x for x in elements if group.power(x, d) == identity] for d in gamma.torsion
-        )
-    elif isinstance(gamma, Presented):
-        words = gamma.words
-    return (
-        hom for hom in product(*options) if all(_evaluate(group, w, hom) == identity for w in words)
-    )
-
-
 def _sum_by_counting(
-    group: FiniteGroup, fixed: FixedPointCharacter, gamma: GammaDescriptor, generator: int
-) -> Fraction | None:
+    group: FiniteGroup, fixed: FixedPointCharacter, gamma: GammaDescriptor,
+    generator: int, n_gens: int,
+) -> Fraction:
     """The sector sum over G = <generator> of order n, from the number of
-    homs per image; None when the data lacks a subgroup that a hom fills.
+    homs per image.
 
     Every hom into G factors through the abelianization of gamma, and the
     homs with image inside the subgroup H_d of order d, <generator**(n/d)>,
@@ -583,9 +567,13 @@ def _sum_by_counting(
     proper divisors e of d (Moebius inversion over the divisor lattice,
     P. Hall, "The Eulerian functions of a group", 1936) leaves N(d), the
     homs with image exactly H_d; the sum is sum(chi(H_d) * N(d)) / n.
+
+    At the first d with N(d) > 0 and no data for H_d, the homs are walked in
+    listing order up to the first image without data, which is named as the
+    listing path names it; H_d is the image of a hom, so the walk raises.
     """
-    n, table = group.order, group.table
-    powers = [group.identity]  # powers[k] is generator**k
+    n, table, identity = group.order, group.table, group.identity
+    powers = [identity]  # powers[k] is generator**k
     for _ in range(n - 1):
         powers.append(table[powers[-1]][generator])
     abelian = abelianize(gamma)
@@ -599,7 +587,11 @@ def _sum_by_counting(
         if exact[d]:
             chi = fixed.chars.get(frozenset(powers[:: n // d]))
             if chi is None:
-                return None
+                generated = _subgroup_joins(group)
+                words = gamma.words if isinstance(gamma, Presented) else ()
+                for hom in product(*_image_options(gamma, group, n_gens)):
+                    if all(_evaluate(group, w, hom) == identity for w in words):
+                        fixed.chi(generated(hom))  # raises at the first image without data
             total += chi * exact[d]
     return Fraction(total, n)
 

@@ -198,7 +198,7 @@ def test_json_table_is_held_once():
     text = json.dumps(cyclic_group(n).to_json())
     tracemalloc.start()
     try:
-        group = FiniteGroup.from_json(_parse_json(text))
+        group = FiniteGroup.from_json(_parse_json(text, parse_int=cache(int)))
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
@@ -658,10 +658,16 @@ def test_quotient_missing_subgroup_names_it():
                 with pytest.raises(FixedPointDataError) as err:
                     chi_gamma_quotient(group, FixedPointCharacter(chars), gamma)
                 assert str(err.value) == repr(f"no fixed-point value for subgroup {sorted(first)}")
-    # C1 without data for its one subgroup: the walk over its one hom names it
-    for gamma in (FgAbelian(0), FgAbelian(1), FreeGroup(2)):
+    # C1 without data for its one subgroup: the walk over its one hom names
+    # it, at once even for 100,000 generators or a presentation's relators
+    for gamma in (
+        FgAbelian(0), FgAbelian(1), FreeGroup(2),
+        FgAbelian(100_000), FreeGroup(100_000), Presented(("x", "y"), ("x^2", "y^3")),
+    ):
+        start = time.process_time()  # CPU time: a loaded host must not fail the bound
         with pytest.raises(FixedPointDataError) as err:
             chi_gamma_quotient(cyclic_group(1), FixedPointCharacter({}), gamma)
+        assert time.process_time() - start < 0.5, gamma
         assert str(err.value) == repr("no fixed-point value for subgroup [0]")
 
 
