@@ -22,7 +22,11 @@ Layers so far:
   walk that names the missing subgroup). The fixed-point data, built
   before timing, gives every subgroup that a hom reaches chi = |H| mod 5
   - 2, which is conjugation-invariant; the output is the value as "p/q"
-  or the error text.
+  or the error text;
+- `build_collision_pair` plus `expand_family` on four pinned `construct`
+  inputs of perfbench: an lcm L=7 pair, an lcm L=7 family of 5, an lcm L=5
+  pair and a product L=5 pair; the output is the family, each member
+  written with `OrbifoldSignature.to_json()`.
 
 Standard library only.
 """
@@ -44,8 +48,10 @@ from orbichar import (  # noqa: E402
     FixedPointCharacter,
     FixedPointDataError,
     FreeGroup,
+    build_collision_pair,
     chi_gamma_quotient,
     enumerate_homs,
+    expand_family,
     format_rational,
     group_by_name,
 )
@@ -64,6 +70,18 @@ QUOTIENTS = (
     ("C1000", "Z^2", FgAbelian(2), True, 20),
 )
 QUOTIENT_REPEATS = 5
+# (name, level, genus, seeds, equalize, family size or None for the pair,
+# calls per timing): the lcm L=7 inputs take 8-30 ms a call, the L=5 ones
+# under 1 ms, so each input times 20-60 ms of calls
+COLLISIONS = (
+    ("lcm L=7", 7, 1, "3,15,17,19,20,22,39,49,56,64,67,75,97,99,101,103,110,112,122,125,"
+     "133,135,137,141,168,170,180,182,185,187,188,197", "lcm", None, 2),
+    ("lcm L=7 N=5", 7, 1, "5,8,10,18,25,28,52,57,63,65,68,91,100,120,122,129,131,135,138,"
+     "148,152,155,159,161,163,169,170,173,179,191,195,199", "lcm", 5, 2),
+    ("lcm L=5", 5, 0, "8,18,24,62,141,153,187,193", "lcm", None, 30),
+    ("product L=5", 5, 3, "68,74,94,100,124,131,134,163", "product", None, 30),
+)
+COLLISION_REPEATS = 5
 
 
 def _digest(value) -> str:
@@ -102,6 +120,11 @@ def _quotient(group, fixed, gamma) -> str:
         return str(exc)
 
 
+def _family(level, genus, seeds, equalize, members) -> list:
+    pair = build_collision_pair(level, genus, seeds, equalize)
+    return list(pair) if members is None else expand_family(*pair, members, level)
+
+
 def measure() -> dict:
     groups = {}
     for name in GROUP_NAMES:
@@ -119,6 +142,13 @@ def measure() -> dict:
         entry = time_call(call, QUOTIENT_REPEATS, number)
         entry["number"], entry["sha256"] = number, _digest(call())
         quotients[f"{name} {spec}{' without G' if without_whole else ''}"] = entry
+    families = {}
+    for name, level, genus, seeds, equalize, members, number in COLLISIONS:
+        args = (level, genus, [int(seed) for seed in seeds.split(",")], equalize, members)
+        entry = time_call(lambda args=args: _family(*args), COLLISION_REPEATS, number)
+        entry["number"] = number
+        entry["sha256"] = _digest([sig.to_json() for sig in _family(*args)])
+        families[name] = entry
     return {
         "group_by_name": {
             "unit": "ms per call",
@@ -132,6 +162,12 @@ def measure() -> dict:
             "rounds": ROUNDS,
             "repeats": QUOTIENT_REPEATS,
             "inputs": quotients,
+        },
+        "build_collision_pair": {
+            "unit": "ms per call",
+            "rounds": ROUNDS,
+            "repeats": COLLISION_REPEATS,
+            "inputs": families,
         },
     }
 

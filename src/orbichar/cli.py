@@ -42,6 +42,7 @@ from .core import (
     MirroredCylinder,
     OrbifoldSignature,
     TRIVIAL_GROUP,
+    check_int,
     chi_es,
     chi_es_mirrored,
     chi_gamma,
@@ -226,7 +227,8 @@ def cmd_construct(args) -> int:
     level = parse_int(args.level)
     seeds = [parse_int(part.strip()) for part in args.orders.split(",") if part.strip()]
     genus = parse_int(args.genus)
-    members = None if args.members is None else parse_int(args.members)  # before any build
+    # --N is read and range-checked before any pair is built
+    members = None if args.members is None else check_int(parse_int(args.members), "family size", 2)
     pair = build_collision_pair(level, genus, seeds, equalize=args.equalize)
     family = list(pair) if members is None else expand_family(*pair, members, level)
     # Every number is converted before the first write: one past the

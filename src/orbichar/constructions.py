@@ -6,6 +6,10 @@ builders here produce such families for the free-abelian characteristics up
 to a chosen level, and for arbitrary finitely generated groups via cone
 orders chosen coprime to all torsion.
 
+While ``build_collision_pair`` merges pairs level by level, each member is
+held as a weighted sum of base-pair signatures, (weight, base) terms, and
+only the final two members are built as signatures.
+
 Every constructed family is re-verified by direct recomputation before it
 is returned; a verification failure signals an implementation bug and
 raises ConstructionError.
@@ -88,6 +92,16 @@ def base_pair(genus: int, seed: int) -> Pair:
     return first, second
 
 
+def _equalizer(mode: str):
+    """The factor rule of an equalization mode: cone counts k_1..k_N ->
+    factors t_j with every t_j * k_j equal."""
+    if mode == "lcm":
+        return lambda counts: [lcm(*counts) // k for k in counts]
+    if mode == "product":
+        return lambda counts: [prod(counts[:j] + counts[j + 1:]) for j in range(len(counts))]
+    raise ValueError(f"unknown equalization mode {mode!r}")
+
+
 def equalize_cone_counts(pairs: list[Pair], mode: str = "lcm") -> list[Pair]:
     """Rescale each pair so all pairs share one common cone count.
 
@@ -97,8 +111,7 @@ def equalize_cone_counts(pairs: list[Pair], mode: str = "lcm") -> list[Pair]:
     choice preserves all within-pair characteristic equalities, since
     repeating cones acts identically on both members.
     """
-    if mode not in ("lcm", "product"):
-        raise ValueError(f"unknown equalization mode {mode!r}")
+    factors = _equalizer(mode)
     counts = []
     genus = None
     for first, second in pairs:
@@ -112,14 +125,9 @@ def equalize_cone_counts(pairs: list[Pair], mode: str = "lcm") -> list[Pair]:
         if first.genus != genus or second.genus != genus:
             raise ValueError("all pairs must share one genus")
         counts.append(k)
-    if mode == "lcm":
-        common = lcm(*counts)
-        factors = [common // k for k in counts]
-    else:
-        factors = [prod(counts[:j] + counts[j + 1:]) for j in range(len(counts))]
     return [
         (repeat(first, t), repeat(second, t))
-        for (first, second), t in zip(pairs, factors)
+        for (first, second), t in zip(pairs, factors(counts))
     ]
 
 
@@ -127,19 +135,34 @@ def equalize_cone_counts(pairs: list[Pair], mode: str = "lcm") -> list[Pair]:
 # Recursive collision-pair builder
 # ---------------------------------------------------------------------------
 
-def _merge_level(first: Pair, second: Pair, exponent: int) -> Pair:
+# A member as (weight, base) terms, the cone multiset sum of weight * base.
+# Power sums are linear in the multiplicities, so repeat scales the weights
+# and combine concatenates the terms: one product per seed, not per cone.
+Terms = list[tuple[int, OrbifoldSignature]]
+
+
+def _scaled(terms: Terms, t: int) -> Terms:
+    return [(t * weight, base) for weight, base in terms]
+
+
+def _power_sum(terms: Terms, exponent: int) -> int:
+    return sum(weight * power_sum(base, exponent).numerator for weight, base in terms)
+
+
+def _merge_level(first: tuple[Terms, Terms], second: tuple[Terms, Terms], exponent: int):
     """One recursive step: two pairs agreeing through level ``exponent``
     become one pair agreeing through level ``exponent + 1``.
 
-    All four signatures must share one cone count.  If either pair already
-    agrees at the next level it is passed through unchanged.  Otherwise the
-    pairs are cross-weighted by the exponent-``exponent`` power-sum gaps,
-    which cancel exactly at the next level and leave all lower levels equal.
+    All four members must share one cone count, and ``exponent`` is >= 0.
+    If either pair already agrees at the next level it is passed through
+    unchanged.  Otherwise the pairs are cross-weighted by the
+    exponent-``exponent`` power-sum gaps, which cancel exactly at the next
+    level and leave all lower levels equal.
     """
     a, a2 = first
     c, c2 = second
-    delta1 = power_sum(a, exponent) - power_sum(a2, exponent)
-    delta2 = power_sum(c2, exponent) - power_sum(c, exponent)
+    delta1 = _power_sum(a, exponent) - _power_sum(a2, exponent)
+    delta2 = _power_sum(c2, exponent) - _power_sum(c, exponent)
     if delta1 == 0:
         return first
     if delta2 == 0:
@@ -148,10 +171,9 @@ def _merge_level(first: Pair, second: Pair, exponent: int) -> Pair:
         a, a2, delta1 = a2, a, -delta1
     if delta2 < 0:
         c, c2, delta2 = c2, c, -delta2
-    delta1, delta2 = int(delta1), int(delta2)
     return (
-        combine(repeat(a, delta2), repeat(c, delta1)),
-        combine(repeat(a2, delta2), repeat(c2, delta1)),
+        _scaled(a, delta2) + _scaled(c, delta1),
+        _scaled(a2, delta2) + _scaled(c2, delta1),
     )
 
 
@@ -166,8 +188,11 @@ def build_collision_pair(
     ``seeds`` parametrizes the base pairs: one seed suffices for level <= 2,
     and exactly 2**(level-2) strictly increasing seeds >= 2 are required for
     level >= 3.  Pairs are merged level by level, re-equalizing cone counts
-    across the surviving pairs after each level.  The returned pair is
-    verified (distinctness plus characteristic equality) before returning.
+    across the surviving pairs after each level (by the rule of
+    ``equalize_cone_counts``).  During the merges each member is held as a
+    weighted sum of base-pair signatures; only the final two members are
+    built as signatures, and they are verified (distinctness plus
+    characteristic equality) before returning.
     """
     check_int(level, "level", 0)
     seeds = sorted(check_int(s, "seed", 2) for s in seeds)
@@ -177,21 +202,33 @@ def build_collision_pair(
     if len(seeds) != needed:
         raise ValueError(f"level {level} needs exactly {needed} seeds, got {len(seeds)}")
 
-    pairs = [base_pair(genus, s) for s in seeds]
+    pairs = [tuple([(1, sig)] for sig in base_pair(genus, s)) for s in seeds]
+    factors = _equalizer(equalize)
     exponent = 2
     while len(pairs) > 1:
         merged = [
             _merge_level(pairs[i], pairs[i + 1], exponent)
             for i in range(0, len(pairs), 2)
         ]
-        pairs = equalize_cone_counts(merged, mode=equalize)
+        # Both members of a merged pair have the same cone count.
+        counts = [sum(w * base.cone_count for w, base in first) for first, _ in merged]
+        pairs = [
+            (_scaled(first, t), _scaled(second, t))
+            for (first, second), t in zip(merged, factors(counts))
+        ]
         exponent += 1
-    # One pair is rescaled by 1 in either mode, so this only checks the mode
-    # at levels <= 2, where no merge has read it.
-    (pair,) = equalize_cone_counts(pairs, mode=equalize)
 
+    pair = tuple(_signature(genus, terms) for terms in pairs[0])
     _verify_family(list(pair), level)
     return pair
+
+
+def _signature(genus: int, terms: Terms) -> OrbifoldSignature:
+    counts: dict[int, int] = {}
+    for weight, base in terms:
+        for order, count in base.cones:
+            counts[order] = counts.get(order, 0) + weight * count
+    return OrbifoldSignature(genus, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -208,11 +245,19 @@ def expand_family(
 
     Shared cone orders are first stripped from both sides (which shifts all
     characteristics identically), leaving disjoint cone supports; the j-th
-    member then combines members-j copies of the first signature with j-1
-    copies of the second.  Each member has a different number of cones of
+    member is then the weighted sum of members-j copies of the first
+    signature and j-1 copies of the second, built as one signature (the
+    form ``build_collision_pair`` holds its members in during the merges).
+    Each member has a different number of cones of
     the first signature's orders, so all are distinct, while the common
     characteristic value 2 - 2g - (N-1)k + (N-1)*power_sum does not depend
     on j.
+
+    The pair's own values are compared only if the built family fails its
+    verification: members 1 and N differ at every level l by
+    (N-1) * (chi_l(a) - chi_l(b)), so a verified family proves its pair.
+    A pair that differs at some level l raises ValueError naming the first
+    such l; otherwise the family's ConstructionError stands.
     """
     check_int(members, "family size", 2)
     check_int(level, "level", 0)
@@ -222,9 +267,6 @@ def expand_family(
         raise ValueError("pair members must share one cone count")
     if a == b:
         raise ValueError("pair members must be distinct")
-    for l in range(level + 1):
-        if chi_level(a, l) != chi_level(b, l):
-            raise ValueError(f"pair characteristics differ at level {l}")
 
     cones_a = Counter(dict(a.cones))
     cones_b = Counter(dict(b.cones))
@@ -237,7 +279,13 @@ def expand_family(
         sides = ((members - j, cones_a), (j - 1, cones_b))
         cones = [(order, t * count) for t, side in sides if t for order, count in side.items()]
         family.append(OrbifoldSignature(a.genus, cones))
-    _verify_family(family, level)
+    try:
+        _verify_family(family, level)
+    except ConstructionError:
+        for l in range(level + 1):
+            if chi_level(a, l) != chi_level(b, l):
+                raise ValueError(f"pair characteristics differ at level {l}") from None
+        raise
     return family
 
 

@@ -296,15 +296,21 @@ def test_construct_bad_seed_count_exits_2(run):
 
 @pytest.mark.parametrize("orders", [",".join(map(str, range(2, 34))), "1"])
 def test_construct_reads_members_before_building(run, monkeypatch, orders):
-    # a malformed --N exits 2 before any pair is built (the 32 seeds of an
-    # L=7 pair), and it is named before the seed refusal of "--orders 1"
+    # a malformed or too small --N exits 2 before any pair is built (the 32
+    # seeds of an L=7 pair), and it is named before the seed refusal of
+    # "--orders 1"
     def refuse(*args, **kwargs):
         raise AssertionError("build_collision_pair called")
 
     monkeypatch.setattr("orbichar.cli.build_collision_pair", refuse)
-    code, out, err = run("construct", "--L", "7", "--g", "0", "--orders", orders, "--N", "x")
-    assert (code, out) == (2, "")
-    assert err.startswith("error:") and err.count("\n") == 1 and "'x'" in err
+    for members, named in [
+        ("x", "'x'"),
+        ("1", "family size must be an integer >= 2, got 1"),
+        ("0", "family size must be an integer >= 2, got 0"),
+    ]:
+        code, out, err = run("construct", "--L", "7", "--g", "0", "--orders", orders, "--N", members)
+        assert (code, out) == (2, ""), members
+        assert err.startswith("error:") and err.count("\n") == 1 and named in err, members
 
 
 _SIGMA_0_3_3, _SIGMA_0_4_4 = OrbifoldSignature.from_orders(0, 3, 3), OrbifoldSignature.from_orders(0, 4, 4)

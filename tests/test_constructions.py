@@ -21,12 +21,14 @@ from orbichar import (
     expand_family,
     general_gamma_family,
     is_diffeomorphic,
+    power_sum,
     prime_avoiding_seeds,
     remove_cone_point,
     repeat,
     same_level_family,
     scale,
 )
+from orbichar import constructions
 
 
 def sig(genus, *orders):
@@ -209,6 +211,13 @@ def test_build_collision_pair_rejects_unknown_mode_at_every_level(level, seeds):
         build_collision_pair(level, 0, seeds, equalize="bogus")
 
 
+def test_build_collision_pair_checks_level_and_seeds_before_the_mode():
+    with pytest.raises(ValueError, match="level must be a nonnegative integer"):
+        build_collision_pair(-1, 0, [2], equalize="bogus")
+    with pytest.raises(ValueError, match="level 3 needs exactly 2 seeds"):
+        build_collision_pair(3, 0, [2], equalize="bogus")
+
+
 def test_build_level_two_is_base_pair():
     assert build_collision_pair(2, 0, [2]) == base_pair(0, 2)
     assert build_collision_pair(0, 5, [7]) == base_pair(5, 7)
@@ -266,11 +275,93 @@ def test_merge_level_pass_through():
     deep = build_collision_pair(3, 0, [2, 3])  # agrees through level 3
     shallow = base_pair(0, 5)
     scale_up = deep[0].cone_count // shallow[0].cone_count
-    shallow = (repeat(shallow[0], scale_up), repeat(shallow[1], scale_up))
+    deep = tuple([(1, member)] for member in deep)
+    shallow = tuple([(scale_up, member)] for member in shallow)
     # whichever side already agrees at the next level passes through
     # unchanged instead of being merged
     assert _merge_level(deep, shallow, 2) == deep
     assert _merge_level(shallow, deep, 2) == deep
+
+
+# The builder as it was written with the surgery operations: every merge
+# repeats and combines whole signatures, and equalize_cone_counts rescales
+# them.  The weighted-sum builder must give the same pair.
+
+def _surgery_merge_level(first, second, exponent):
+    a, a2 = first
+    c, c2 = second
+    delta1 = power_sum(a, exponent) - power_sum(a2, exponent)
+    delta2 = power_sum(c2, exponent) - power_sum(c, exponent)
+    if delta1 == 0:
+        return first
+    if delta2 == 0:
+        return second
+    if delta1 < 0:
+        a, a2, delta1 = a2, a, -delta1
+    if delta2 < 0:
+        c, c2, delta2 = c2, c, -delta2
+    delta1, delta2 = int(delta1), int(delta2)
+    return (
+        combine(repeat(a, delta2), repeat(c, delta1)),
+        combine(repeat(a2, delta2), repeat(c2, delta1)),
+    )
+
+
+def _surgery_build(level, genus, seeds, equalize):
+    pairs = [constructions.base_pair(genus, s) for s in sorted(seeds)]
+    exponent = 2
+    while len(pairs) > 1:
+        merged = [
+            _surgery_merge_level(pairs[i], pairs[i + 1], exponent)
+            for i in range(0, len(pairs), 2)
+        ]
+        pairs = equalize_cone_counts(merged, mode=equalize)
+        exponent += 1
+    (pair,) = equalize_cone_counts(pairs, mode=equalize)
+    return pair
+
+
+def _seed_sets(level):
+    needed = 1 if level <= 2 else 2 ** (level - 2)
+    return [
+        list(range(2, 2 + needed)),
+        list(range(7, 7 + 3 * needed, 3)),
+        [5 + j * j for j in range(needed)],
+    ]
+
+
+@pytest.mark.parametrize("equalize", ["lcm", "product"])
+@pytest.mark.parametrize("level", range(7))
+def test_build_collision_pair_matches_surgery_builder(level, equalize):
+    for genus in range(3):
+        for seeds in _seed_sets(level):
+            expected = _surgery_build(level, genus, seeds, equalize)
+            assert build_collision_pair(level, genus, seeds, equalize) == expected, (genus, seeds)
+
+
+@pytest.mark.parametrize("equalize", ["lcm", "product"])
+@pytest.mark.parametrize("level, seeds", [(3, [4, 99]), (4, [4, 5, 6, 99])])
+def test_build_collision_pair_matches_surgery_builder_through_a_pass_through(
+    monkeypatch, level, seeds, equalize
+):
+    # Seed 99 stands for a pair that already agrees through level 3, so its
+    # first merge passes it through unchanged; every other base pair is
+    # repeated up to its cone count, as all four members of a merge need one.
+    deep = build_collision_pair(3, 1, [2, 3])
+    original = constructions.base_pair
+    scale_up = deep[0].cone_count // 3
+
+    def base(genus, seed):
+        if seed == 99:
+            return deep
+        first, second = original(genus, seed)
+        return repeat(first, scale_up), repeat(second, scale_up)
+
+    monkeypatch.setattr(constructions, "base_pair", base)
+    expected = _surgery_build(level, 1, seeds, equalize)
+    if level == 3:
+        assert expected == deep
+    assert build_collision_pair(level, 1, seeds, equalize) == expected
 
 
 def test_build_collision_pair_seed_validation():
@@ -372,6 +463,30 @@ def test_expand_family_rejects_equal_or_mismatched_pairs():
         expand_family(first, sig(0, 3, 3, 3), 3, 1)
     with pytest.raises(ValueError, match="genus"):
         expand_family(first, OrbifoldSignature(1, {5: 2, 10: 1}), 3, 0)
+
+
+def test_expand_family_checks_a_valid_pair_only_through_its_family(monkeypatch):
+    # the family's verification proves the pair, so the pair's own values
+    # are never computed
+    first, second = build_collision_pair(3, 0, [2, 3])
+    seen = []
+    real = constructions.chi_level
+
+    def spy(signature, level):
+        seen.append(signature)
+        return real(signature, level)
+
+    monkeypatch.setattr(constructions, "chi_level", spy)
+    family = expand_family(first, second, 3, 3)
+    assert len(family) == 3 and seen
+    assert not any(signature in (first, second) for signature in seen)
+
+
+def test_expand_family_names_the_first_level_the_pair_differs_at():
+    first, second = base_pair(0, 2)  # agrees through level 2 only
+    assert chi_level(first, 3) != chi_level(second, 3)
+    with pytest.raises(ValueError, match="^pair characteristics differ at level 3$"):
+        expand_family(first, second, 3, 4)
 
 
 def test_expand_family_rejects_negative_level():
