@@ -26,7 +26,17 @@ Layers so far:
 - `build_collision_pair` plus `expand_family` on four pinned `construct`
   inputs of perfbench: an lcm L=7 pair, an lcm L=7 family of 5, an lcm L=5
   pair and a product L=5 pair; the output is the family, each member
-  written with `OrbifoldSignature.to_json()`.
+  written with `OrbifoldSignature.to_json()`;
+- `reconstruct` on three sequence sets built from `random.Random(1)` and
+  shaped like perfbench's inverse requests: 40 full sequences (length
+  2k+1 for k distinct orders) of genus 0-3 signatures with 1-6 orders in
+  2..60, 8 prefixes of such sequences, and 4 full sequences of signatures
+  with one or two orders of 10^3-10^7.  A call reconstructs the whole set;
+  the output is each signature's `to_json()` or the `InsufficientData`
+  reason;
+- `minimal_recurrence` on the level differences of the same three sets,
+  which is what `reconstruct` passes it; a call fits the whole set, and the
+  output is each set's coefficients as "p/q" strings and depth.
 
 Standard library only.
 """
@@ -36,6 +46,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import random
 import statistics
 import sys
 import time
@@ -48,12 +59,17 @@ from orbichar import (  # noqa: E402
     FixedPointCharacter,
     FixedPointDataError,
     FreeGroup,
+    InsufficientData,
+    OrbifoldSignature,
     build_collision_pair,
+    char_sequence,
     chi_gamma_quotient,
     enumerate_homs,
     expand_family,
     format_rational,
     group_by_name,
+    minimal_recurrence,
+    reconstruct,
 )
 
 ROUNDS, REPEATS, NUMBER = 9, 10, 20
@@ -82,6 +98,11 @@ COLLISIONS = (
     ("product L=5", 5, 3, "68,74,94,100,124,131,134,163", "product", None, 30),
 )
 COLLISION_REPEATS = 5
+# calls per timing by sequence set: a reconstruct pass over a set takes
+# 0.25-15 ms, a recurrence pass 0.05-5 ms, so each input times 10-60 ms
+RECONSTRUCT_NUMBERS = {"full": 4, "prefixes": 80, "large orders": 80}
+RECURRENCE_NUMBERS = {"full": 15, "prefixes": 150, "large orders": 300}
+SEQUENCE_REPEATS = 5
 
 
 def _digest(value) -> str:
@@ -125,6 +146,51 @@ def _family(level, genus, seeds, equalize, members) -> list:
     return list(pair) if members is None else expand_family(*pair, members, level)
 
 
+def _small_signature(rng: random.Random) -> OrbifoldSignature:
+    orders = [rng.randint(2, 60) for _ in range(rng.randint(1, 6))]
+    return OrbifoldSignature.from_orders(rng.randint(0, 3), *orders)
+
+
+def _large_signature(rng: random.Random) -> OrbifoldSignature:
+    orders = {round(10 ** (3 + 4 * rng.random())) for _ in range(rng.randint(1, 2))}
+    return OrbifoldSignature(rng.randint(0, 3), {m: rng.randint(1, 2) for m in orders})
+
+
+def sequence_sets() -> dict[str, list[list]]:
+    """The fixed characteristic sequences of the reconstruct layer, by set."""
+    rng = random.Random(1)
+    full = [_small_signature(rng) for _ in range(40)]
+    prefixes = [_small_signature(rng) for _ in range(8)]
+    large = [_large_signature(rng) for _ in range(4)]
+    return {
+        "full": [char_sequence(sig, 2 * len(sig.cones) + 1) for sig in full],
+        "prefixes": [char_sequence(sig, rng.randint(1, 2 * len(sig.cones))) for sig in prefixes],
+        "large orders": [char_sequence(sig, 2 * len(sig.cones) + 1) for sig in large],
+    }
+
+
+def _reconstructed(values) -> dict:
+    result = reconstruct(values)
+    if isinstance(result, InsufficientData):
+        return {"insufficient": result.reason}
+    return result.to_json()
+
+
+def _recurrence(diffs) -> list:
+    coefficients, depth = minimal_recurrence(diffs)
+    return [[format_rational(c) for c in coefficients], depth]
+
+
+def _sequence_layer(function, sets: dict, numbers: dict) -> dict:
+    inputs = {}
+    for name, sequences in sets.items():
+        call = lambda sequences=sequences: [function(seq) for seq in sequences]
+        entry = time_call(call, SEQUENCE_REPEATS, numbers[name])
+        entry["number"], entry["sha256"] = numbers[name], _digest(call())
+        inputs[name] = entry
+    return inputs
+
+
 def measure() -> dict:
     groups = {}
     for name in GROUP_NAMES:
@@ -149,6 +215,11 @@ def measure() -> dict:
         entry["number"] = number
         entry["sha256"] = _digest([sig.to_json() for sig in _family(*args)])
         families[name] = entry
+    sets = sequence_sets()
+    differences = {
+        name: [[int(b - a) for a, b in zip(values[1:], values[2:])] for values in sequences]
+        for name, sequences in sets.items()
+    }
     return {
         "group_by_name": {
             "unit": "ms per call",
@@ -168,6 +239,18 @@ def measure() -> dict:
             "rounds": ROUNDS,
             "repeats": COLLISION_REPEATS,
             "inputs": families,
+        },
+        "reconstruct": {
+            "unit": "ms per call",
+            "rounds": ROUNDS,
+            "repeats": SEQUENCE_REPEATS,
+            "inputs": _sequence_layer(_reconstructed, sets, RECONSTRUCT_NUMBERS),
+        },
+        "minimal_recurrence": {
+            "unit": "ms per call",
+            "rounds": ROUNDS,
+            "repeats": SEQUENCE_REPEATS,
+            "inputs": _sequence_layer(_recurrence, differences, RECURRENCE_NUMBERS),
         },
     }
 

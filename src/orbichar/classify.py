@@ -4,8 +4,9 @@ The level-l characteristics of a signature determine it completely once
 enough levels are known: consecutive differences of the sequence form an
 exponential sum over the distinct cone orders, so an exact minimal linear
 recurrence recovers the orders as integer roots of its characteristic
-polynomial, and dividing out each root isolates its multiplicity.  All
-arithmetic is rational and exact; there are no tolerances anywhere.
+polynomial, and dividing out each root isolates its multiplicity.  The
+recurrence runs fraction-free over the integers, all arithmetic is exact,
+and there are no tolerances anywhere.
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ def char_sequence(sig: OrbifoldSignature, length: int) -> list[Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Minimal linear recurrence over the rationals (Berlekamp-Massey)
+# Minimal linear recurrence, fraction-free over the integers (Berlekamp-Massey)
 # ---------------------------------------------------------------------------
 
 def minimal_recurrence(seq: Sequence[Fraction | int]) -> tuple[list[Fraction], int]:
@@ -50,34 +51,33 @@ def minimal_recurrence(seq: Sequence[Fraction | int]) -> tuple[list[Fraction], i
     seq[j] == sum(coefficients[i] * seq[j-1-i] for i in range(depth))
     for every j >= depth.  The recurrence is uniquely determined by the data
     only when len(seq) >= 2 * depth.
+
+    Fraction-free Berlekamp-Massey (Massey, 1969) on the terms scaled to
+    integers by the lcm of their denominators: C <- b*C - d*x**shift*B, over
+    its content.  b starts at the scale, so C stays a multiple of the
+    rational form; C[0] is never zero and divides it out at the end.
     """
-    current = [Fraction(1)]
-    previous = [Fraction(1)]
-    depth = 0
-    shift = 1
-    last_discrepancy = Fraction(1)
-    for i, term in enumerate(seq):
-        discrepancy = Fraction(term)
-        for t in range(1, depth + 1):
-            discrepancy += current[t] * seq[i - t]
+    terms = [check_rational(term, "sequence value") for term in seq]
+    scale = lcm(*(term.denominator for term in terms))
+    ints = [term.numerator * (scale // term.denominator) for term in terms]
+    current, previous = [1], [1]
+    depth, shift, last_discrepancy = 0, 1, scale
+    for i in range(len(ints)):
+        discrepancy = sum(current[t] * ints[i - t] for t in range(depth + 1))
         if discrepancy == 0:
             shift += 1
             continue
-        update = current[:]
-        scale = discrepancy / last_discrepancy
-        if len(update) < len(previous) + shift:
-            update.extend([Fraction(0)] * (len(previous) + shift - len(update)))
-        for t, coeff in enumerate(previous):
-            update[t + shift] -= scale * coeff
+        update = [last_discrepancy * c for c in current]
+        update.extend([0] * (len(previous) + shift - len(update)))
+        for t, coeff in enumerate(previous, shift):
+            update[t] -= discrepancy * coeff
+        content = gcd(*update)
         if 2 * depth <= i:
-            previous = current
-            depth = i + 1 - depth
-            last_discrepancy = discrepancy
-            shift = 1
+            previous, depth, last_discrepancy, shift = current, i + 1 - depth, discrepancy, 1
         else:
             shift += 1
-        current = update
-    return [-c for c in current[1 : depth + 1]], depth
+        current = [c // content for c in update]
+    return [Fraction(-c, current[0]) for c in current[1 : depth + 1]], depth
 
 
 def _horner(poly: list[int], x: int) -> tuple[int, int]:
@@ -191,10 +191,10 @@ def reconstruct(values: Sequence[Fraction | int]) -> ReconstructResult:
         # order's term (order - 1) * count * order**j of the differences
         quotient = _divide_root(poly, order)
         weight = sum(c * d for c, d in zip(reversed(quotient), diffs))
-        count = Fraction(weight, _horner(quotient, order)[0] * (order - 1))
-        if count <= 0 or count.denominator != 1:
+        count, rest = divmod(weight, _horner(quotient, order)[0] * (order - 1))
+        if count <= 0 or rest:
             return fail()
-        cones[order] = int(count)
+        cones[order] = count
     candidate = OrbifoldSignature(genus, cones)
     if char_sequence(candidate, len(values) - 1) != values:
         return fail()

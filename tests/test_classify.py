@@ -1,5 +1,6 @@
 """Characteristic sequences, reconstruction, enumeration, collision search."""
 
+import random
 import time
 from fractions import Fraction
 from functools import cache
@@ -56,12 +57,93 @@ def test_char_sequence_torus_with_one_cone():
         ([1, 1, 2, 3, 5, 8], [Fraction(1), Fraction(1)], 2),
         ([2, 5, 13, 35, 97], [Fraction(5), Fraction(-6)], 2),  # 2^j + 3^j
         ([0, 0, 0], [], 0),
+        # undetermined (5 terms, depth 3): an integer form whose discrepancy
+        # starts at 1 instead of the lcm of the denominators ends in -28
+        (
+            [0, 0, Fraction(-4, 9), -1, Fraction(-12, 7)],
+            [Fraction(9, 4), Fraction(-135, 112), Fraction(-4, 9)],
+            3,
+        ),
     ],
 )
 def test_minimal_recurrence(seq, coefficients, depth):
     got_coeffs, got_depth = minimal_recurrence(seq)
     assert got_depth == depth
     assert got_coeffs == coefficients
+
+
+def fraction_recurrence(seq):
+    """Oracle: Berlekamp-Massey over Fractions, with a monic connection polynomial."""
+    current = [Fraction(1)]
+    previous = [Fraction(1)]
+    depth = 0
+    shift = 1
+    last_discrepancy = Fraction(1)
+    for i, term in enumerate(seq):
+        discrepancy = Fraction(term)
+        for t in range(1, depth + 1):
+            discrepancy += current[t] * seq[i - t]
+        if discrepancy == 0:
+            shift += 1
+            continue
+        update = current[:]
+        scale = discrepancy / last_discrepancy
+        if len(update) < len(previous) + shift:
+            update.extend([Fraction(0)] * (len(previous) + shift - len(update)))
+        for t, coeff in enumerate(previous):
+            update[t + shift] -= scale * coeff
+        if 2 * depth <= i:
+            previous = current
+            depth = i + 1 - depth
+            last_discrepancy = discrepancy
+            shift = 1
+        else:
+            shift += 1
+        current = update
+    return [-c for c in current[1 : depth + 1]], depth
+
+
+def _random_term(rng):
+    kind = rng.random()
+    if kind < 0.3:
+        return 0
+    if kind < 0.7:
+        return rng.randint(-20, 20)
+    if kind < 0.8:
+        return rng.randint(-10**12, 10**12)
+    return Fraction(rng.randint(-30, 30), rng.randint(1, 12))
+
+
+def _random_sequence(rng):
+    """Free terms, or the terms of a random recurrence with one term
+    sometimes changed, with leading and trailing zeros now and then."""
+    length = rng.randint(0, 12)
+    if rng.random() < 0.4:
+        seq = [_random_term(rng) for _ in range(length)]
+    else:
+        order = rng.randint(1, 4)
+        coefficients = [_random_term(rng) for _ in range(order)]
+        seq = [_random_term(rng) for _ in range(order)]
+        while len(seq) < length:
+            seq.append(sum(c * seq[-1 - i] for i, c in enumerate(coefficients)))
+        del seq[length:]
+        if seq and rng.random() < 0.3:
+            seq[rng.randrange(length)] = _random_term(rng)
+    if rng.random() < 0.2:
+        seq = [0] * rng.randint(1, 4) + seq
+    if rng.random() < 0.2:
+        seq += [0] * rng.randint(1, 4)
+    return seq
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_minimal_recurrence_matches_fraction_oracle(seed):
+    rng = random.Random(seed)
+    for _ in range(1000):
+        seq = _random_sequence(rng)
+        got = minimal_recurrence(seq)
+        assert got == fraction_recurrence(seq), seq
+        assert all(type(c) is Fraction for c in got[0]), seq
 
 
 def test_minimal_recurrence_generates_sequence():
@@ -279,11 +361,23 @@ def test_enumerate_rejects_targets_that_are_not_rationals(target):
         next(iter_signatures_by_chi_es(target))
 
 
-@pytest.mark.parametrize("values", [[-0.5, 2, float("inf")], ["1/2", 2], [2.0, 2.0]])
+@pytest.mark.parametrize(
+    "values",
+    [
+        [-0.5, 2, float("inf")],
+        ["1/2", 2],
+        [2.0, 2.0],
+        [0.5, 0.25, 0.125],
+        [True, True],
+        ["1/2", "1/4", "1/8"],
+    ],
+)
 def test_reconstruct_takes_exact_values_only(values):
-    # a float or a string is refused, never converted
+    # a float, a bool or a string is refused, never converted
     with pytest.raises(ValueError, match="sequence value must be an int or Fraction"):
         reconstruct(values)
+    with pytest.raises(ValueError, match="sequence value must be an int or Fraction"):
+        minimal_recurrence(values)
 
 
 def test_iterator_is_streaming_and_ordered():
