@@ -36,20 +36,29 @@ Layers so far:
   reason;
 - `minimal_recurrence` on the level differences of the same three sets,
   which is what `reconstruct` passes it; a call fits the whole set, and the
-  output is each set's coefficients as "p/q" strings and depth.
+  output is each set's coefficients as "p/q" strings and depth;
+- `cli`: `build_parser()` with every subcommand, `build_parser("chi")` with
+  one, each output its help text at 80 columns; and `cli.main` in process
+  with stdout sent to a sink, on four requests like perfbench's: `chi`,
+  `reconstruct`, `enumerate` and a C6 `quotient` whose fixed-point file
+  is written before timing. A `main` output is its exit code and stdout.
 
 Standard library only.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
+import io
 import json
 import os
 import random
 import statistics
 import sys
+import tempfile
 import time
+from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 sys.path.insert(0, os.path.join(ROOT, "src"))
@@ -71,6 +80,7 @@ from orbichar import (  # noqa: E402
     minimal_recurrence,
     reconstruct,
 )
+from orbichar import cli  # noqa: E402
 
 ROUNDS, REPEATS, NUMBER = 9, 10, 20
 GROUP_NAMES = ("C60", "D40", "D12xC3", "C6xC6")
@@ -103,6 +113,15 @@ COLLISION_REPEATS = 5
 RECONSTRUCT_NUMBERS = {"full": 4, "prefixes": 80, "large orders": 80}
 RECURRENCE_NUMBERS = {"full": 15, "prefixes": 150, "large orders": 300}
 SEQUENCE_REPEATS = 5
+# (input name, argv) of the cli layer's main calls, which take 0.3-1.5 ms;
+# "{fpc}" stands for the fixed-point file
+CLI_REQUESTS = (
+    ("main chi", ["chi", "--sig", "Sigma_0(5,5,10)", "--l", "0"]),
+    ("main reconstruct", ["reconstruct", "--seq=-1/2,2,19,149,1249,11249"]),
+    ("main enumerate", ["enumerate", "--chi-es=-1/2"]),
+    ("main quotient", ["quotient", "--group", "C6", "--fpc", "{fpc}", "--gamma", "Z^2"]),
+)
+CLI_REPEATS = 5
 
 
 def _digest(value) -> str:
@@ -191,6 +210,35 @@ def _sequence_layer(function, sets: dict, numbers: dict) -> dict:
     return inputs
 
 
+def _main(argv, stdout) -> int:
+    with contextlib.redirect_stdout(stdout):
+        return cli.main(argv)
+
+
+def _cli_layer() -> dict:
+    inputs = {}
+    with mock.patch.dict(os.environ, COLUMNS="80"):  # argparse wraps help to the width
+        for name, command in (("build_parser()", None), ("build_parser(chi)", "chi")):
+            entry = time_call(lambda command=command: cli.build_parser(command), CLI_REPEATS)
+            entry["number"] = NUMBER
+            entry["sha256"] = _digest(cli.build_parser(command).format_help())
+            inputs[name] = entry
+    group = group_by_name("C6")
+    reached = _reached("C6", group, FgAbelian(2))
+    document = [{"subgroup": sorted(h), "chi": len(h) % 5 - 2} for h in reached]
+    with tempfile.TemporaryDirectory() as scratch, open(os.devnull, "w") as sink:
+        fpc = os.path.join(scratch, "fpc.json")
+        with open(fpc, "w", encoding="utf-8") as handle:
+            json.dump(document, handle)
+        for name, argv in CLI_REQUESTS:
+            argv = [fpc if arg == "{fpc}" else arg for arg in argv]
+            entry = time_call(lambda argv=argv: _main(argv, sink), CLI_REPEATS)
+            out = io.StringIO()
+            entry["number"], entry["sha256"] = NUMBER, _digest([_main(argv, out), out.getvalue()])
+            inputs[name] = entry
+    return inputs
+
+
 def measure() -> dict:
     groups = {}
     for name in GROUP_NAMES:
@@ -251,6 +299,12 @@ def measure() -> dict:
             "rounds": ROUNDS,
             "repeats": SEQUENCE_REPEATS,
             "inputs": _sequence_layer(_recurrence, differences, RECURRENCE_NUMBERS),
+        },
+        "cli": {
+            "unit": "ms per call",
+            "rounds": ROUNDS,
+            "repeats": CLI_REPEATS,
+            "inputs": _cli_layer(),
         },
     }
 

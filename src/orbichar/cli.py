@@ -3,7 +3,8 @@
 All values are exact: rationals are serialized as "p/q" strings (bare "p"
 for integers), never floats.  Exit codes are a stable contract: 0 success,
 2 malformed input, 3 unsupported or oversized group, 4 verification
-failure.
+failure.  A request builds only the parser of the subcommand it names;
+help and errors read exactly as they do with the full parser.
 """
 
 from __future__ import annotations
@@ -430,7 +431,10 @@ def cmd_verify(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-def build_parser() -> argparse.ArgumentParser:
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The orbichar parser, with only `command`'s subparser when `command`
+    names a subcommand and with all seven otherwise.  Help and errors read
+    exactly as they do with all seven (see `main`)."""
     parser = argparse.ArgumentParser(
         prog="orbichar",
         description="Exact characteristic computations for closed 2-orbifolds.",
@@ -439,56 +443,61 @@ def build_parser() -> argparse.ArgumentParser:
     # Integer options have no type=: each subcommand reads them with
     # parse_int, so a malformed one exits 2 with one error line.
 
-    chi = sub.add_parser("chi", help="characteristic values of a signature")
-    chi.add_argument("--sig", required=True, help="signature: file, JSON, or Sigma_g(m1,m2,...)")
-    mode = chi.add_mutually_exclusive_group()
-    mode.add_argument("--gamma", help='group spec: "Z^l", "Z^l+Z/d", "F_k", "trivial"')
-    mode.add_argument("--l", help="level of the Z^l characteristic")
-    mode.add_argument("--seq-len", help="emit the sequence of levels 0..L")
-    chi.add_argument("--json", action="store_true", help="wrap output in JSON")
-    chi.set_defaults(func=cmd_chi)
+    def subparser(name: str, help_text: str) -> argparse.ArgumentParser | None:
+        return sub.add_parser(name, help=help_text) if command in (None, name) else None
 
-    construct = sub.add_parser("construct", help="build a verified collision family")
-    construct.add_argument("--L", dest="level", required=True)
-    construct.add_argument("--g", dest="genus", required=True)
-    construct.add_argument("--orders", required=True, help="comma-separated seeds >= 2")
-    construct.add_argument("--N", dest="members", help="family size (default: the pair)")
-    construct.add_argument("--equalize", choices=("lcm", "product"), default="lcm")
-    construct.set_defaults(func=cmd_construct)
+    if chi := subparser("chi", "characteristic values of a signature"):
+        chi.add_argument("--sig", required=True, help="signature: file, JSON, or Sigma_g(m1,m2,...)")
+        mode = chi.add_mutually_exclusive_group()
+        mode.add_argument("--gamma", help='group spec: "Z^l", "Z^l+Z/d", "F_k", "trivial"')
+        mode.add_argument("--l", help="level of the Z^l characteristic")
+        mode.add_argument("--seq-len", help="emit the sequence of levels 0..L")
+        chi.add_argument("--json", action="store_true", help="wrap output in JSON")
+        chi.set_defaults(func=cmd_chi)
 
-    rec = sub.add_parser("reconstruct", help="invert a characteristic sequence")
-    rec.add_argument("--seq", required=True, help='comma-separated rationals "v0,v1,..."')
-    rec.set_defaults(func=cmd_reconstruct)
+    if construct := subparser("construct", "build a verified collision family"):
+        construct.add_argument("--L", dest="level", required=True)
+        construct.add_argument("--g", dest="genus", required=True)
+        construct.add_argument("--orders", required=True, help="comma-separated seeds >= 2")
+        construct.add_argument("--N", dest="members", help="family size (default: the pair)")
+        construct.add_argument("--equalize", choices=("lcm", "product"), default="lcm")
+        construct.set_defaults(func=cmd_construct)
 
-    enum = sub.add_parser("enumerate", help="stream all signatures with a given chi_es")
-    enum.add_argument("--chi-es", dest="chi_es", required=True, help='target value "p/q"')
-    enum.set_defaults(func=cmd_enumerate)
+    if rec := subparser("reconstruct", "invert a characteristic sequence"):
+        rec.add_argument("--seq", required=True, help='comma-separated rationals "v0,v1,..."')
+        rec.set_defaults(func=cmd_reconstruct)
 
-    search = sub.add_parser("search", help="brute-force collision groups in a window")
-    search.add_argument("--g-max", dest="genus_max", required=True)
-    search.add_argument("--k-max", dest="count_max", required=True)
-    search.add_argument("--m-max", dest="order_max", required=True)
-    search.add_argument("--L", dest="level", required=True)
-    search.set_defaults(func=cmd_search)
+    if enum := subparser("enumerate", "stream all signatures with a given chi_es"):
+        enum.add_argument("--chi-es", dest="chi_es", required=True, help='target value "p/q"')
+        enum.set_defaults(func=cmd_enumerate)
 
-    quotient = sub.add_parser("quotient", help="sector sum for a finite quotient")
-    quotient.add_argument("--group", required=True, help='group name ("C6", "D10") or JSON file')
-    quotient.add_argument("--fpc", required=True, help="fixed-point data JSON file")
-    quotient.add_argument("--gamma", required=True, help="group spec")
-    quotient.add_argument("--json", action="store_true", help="wrap output in JSON")
-    quotient.set_defaults(func=cmd_quotient)
+    if search := subparser("search", "brute-force collision groups in a window"):
+        search.add_argument("--g-max", dest="genus_max", required=True)
+        search.add_argument("--k-max", dest="count_max", required=True)
+        search.add_argument("--m-max", dest="order_max", required=True)
+        search.add_argument("--L", dest="level", required=True)
+        search.set_defaults(func=cmd_search)
 
-    verify = sub.add_parser(
-        "verify-paper", help="check the built-in published reference values"
-    )
-    verify.add_argument("example", choices=sorted(_SCENARIOS))
-    verify.set_defaults(func=cmd_verify)
+    if quotient := subparser("quotient", "sector sum for a finite quotient"):
+        quotient.add_argument("--group", required=True, help='group name ("C6", "D10") or JSON file')
+        quotient.add_argument("--fpc", required=True, help="fixed-point data JSON file")
+        quotient.add_argument("--gamma", required=True, help="group spec")
+        quotient.add_argument("--json", action="store_true", help="wrap output in JSON")
+        quotient.set_defaults(func=cmd_quotient)
 
-    return parser
+    if verify := subparser("verify-paper", "check the built-in published reference values"):
+        verify.add_argument("example", choices=sorted(_SCENARIOS))
+        verify.set_defaults(func=cmd_verify)
+
+    # a word that names no subcommand (-h, --, a typo) gets the full parser
+    return parser if sub.choices else build_parser()
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else argv
+    args, extras = build_parser(argv[0] if argv else None).parse_known_args(argv)
+    if extras:  # the full parser's error, whose usage lists every subcommand
+        args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -861,6 +861,73 @@ def test_console_entry_point():
     assert result.stdout.strip() == "-1/2"
 
 
+COMMANDS = ("chi", "construct", "reconstruct", "enumerate", "search", "quotient", "verify-paper")
+PARSER_PROBES = [
+    ["-h"],
+    ["--help"],
+    *([command, "-h"] for command in COMMANDS),
+    *([command, "--help"] for command in COMMANDS),
+    [],
+    ["bogus"],
+    ["enum", "--chi-es", "1/6"],
+    ["-x", "enumerate"],
+    ["--", "enumerate", "--chi-es", "1/6"],
+    ["construct", "--L", "2"],  # required options missing
+    ["enumerate", "--chi-es"],  # option value missing
+    ["construct", "--L", "2", "--g", "0", "--orders", "2,3", "--equalize", "sum"],
+    ["verify-paper", "bogus"],  # a bad choice of a positional
+    ["chi", "--sig", "Sigma_0(2,3)", "--gamma", "Z", "--l", "2"],  # mutually exclusive
+    ["enumerate", "--chi", "-1/2"],  # abbreviations
+    ["enumerate", "--chi=-1/2"],
+    ["enumerate", "--chi-es", "1/6", "extra"],  # arguments left over
+    ["verify-paper", "sameLESC", "extra"],
+    ["chi", "--sig", "Sigma_0(5,5,10)", "--l", "0", "-h"],
+    ("chi", "--sig", "Sigma_0(5,5,10)", "--l", "0"),
+    ("enumerate", "--chi-es", "1/6", "extra"),
+]
+
+
+def _in_process(capsys, function, argv):
+    try:
+        code = function(argv)
+    except SystemExit as exc:
+        code = ("SystemExit", exc.code)
+    return (code, *capsys.readouterr())
+
+
+def _full_parser_main(argv) -> int:
+    """What main did before a request built only its subcommand's parser."""
+    args = cli.build_parser().parse_args(argv)
+    return args.func(args)
+
+
+@pytest.mark.parametrize("argv", PARSER_PROBES, ids=repr)
+def test_per_command_parser_matches_full_parser(capsys, monkeypatch, argv):
+    # help, errors and answers must be those of the parser with all seven
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
+    assert _in_process(capsys, main, argv) == _in_process(capsys, _full_parser_main, argv)
+
+
+def test_build_parser_lists_the_subcommands_it_holds():
+    every = "{" + ",".join(COMMANDS) + "}"
+    assert every in cli.build_parser().format_usage()
+    assert every in cli.build_parser("bogus").format_usage()
+    assert "{chi}" in cli.build_parser("chi").format_usage()
+
+
+def test_a_request_builds_only_its_subcommands_parser(run, monkeypatch):
+    built = []
+    build_parser = cli.build_parser
+
+    def spy(command=None):
+        built.append(command)
+        return build_parser(command)
+
+    monkeypatch.setattr(cli, "build_parser", spy)
+    assert run("chi", "--sig", "Sigma_0(5,5,10)", "--l", "0") == (0, "-1/2\n", "")
+    assert built == ["chi"]
+
+
 def test_main_in_one_process_matches_fresh_runs(tmp_path, capsys, monkeypatch):
     # one interpreter serving many requests, as the benchmark does: no state
     # left by a subcommand, or by an argparse exit, may change a later answer
@@ -881,6 +948,9 @@ def test_main_in_one_process_matches_fresh_runs(tmp_path, capsys, monkeypatch):
         ["construct", "--L", "4", "--g", "0", "--orders", "2"],  # too few seeds: exit 2
         ["search", "--g-max", "1", "--k-max", "2", "--m-max", "6", "--L", "1"],
         ["verify-paper", "sameLESC"],
+        ["-h"],  # the full parser, between per-command ones
+        ["enumerate", "--chi-es=1/6", "extra"],  # extras: the full parser's error
+        ["chi", "--sig", "Sigma_0(2,3)", "--gamma", "Z", "--l", "2"],  # exclusive options
         construct,
     ]
     for argv in requests:
