@@ -39,9 +39,11 @@ Layers so far:
   output is each set's coefficients as "p/q" strings and depth;
 - `cli`: `build_parser()` with every subcommand, `build_parser("chi")` with
   one, each output its help text at 80 columns; and `cli.main` in process
-  with stdout sent to a sink, on four requests like perfbench's: `chi`,
-  `reconstruct`, `enumerate` and a C6 `quotient` whose fixed-point file
-  is written before timing. A `main` output is its exit code and stdout.
+  with stdout sent to a sink, on six requests like perfbench's: `chi`,
+  `reconstruct`, `enumerate`, a C6 `quotient` whose fixed-point file is
+  written before timing, `construct` on the pinned lcm L=7 `--N 5` input
+  of the `build_collision_pair` layer, and `search` on one small window.
+  A `main` output is its exit code and stdout.
 
 Standard library only.
 """
@@ -113,13 +115,17 @@ COLLISION_REPEATS = 5
 RECONSTRUCT_NUMBERS = {"full": 4, "prefixes": 80, "large orders": 80}
 RECURRENCE_NUMBERS = {"full": 15, "prefixes": 150, "large orders": 300}
 SEQUENCE_REPEATS = 5
-# (input name, argv) of the cli layer's main calls, which take 0.3-1.5 ms;
-# "{fpc}" stands for the fixed-point file
+# (input name, argv, calls per timing) of the cli layer's main calls:
+# "{fpc}" stands for the fixed-point file; construct takes 10-20 ms a call,
+# search about 4 ms, the others 0.3-1.5 ms
 CLI_REQUESTS = (
-    ("main chi", ["chi", "--sig", "Sigma_0(5,5,10)", "--l", "0"]),
-    ("main reconstruct", ["reconstruct", "--seq=-1/2,2,19,149,1249,11249"]),
-    ("main enumerate", ["enumerate", "--chi-es=-1/2"]),
-    ("main quotient", ["quotient", "--group", "C6", "--fpc", "{fpc}", "--gamma", "Z^2"]),
+    ("main chi", ["chi", "--sig", "Sigma_0(5,5,10)", "--l", "0"], NUMBER),
+    ("main reconstruct", ["reconstruct", "--seq=-1/2,2,19,149,1249,11249"], NUMBER),
+    ("main enumerate", ["enumerate", "--chi-es=-1/2"], NUMBER),
+    ("main quotient", ["quotient", "--group", "C6", "--fpc", "{fpc}", "--gamma", "Z^2"], NUMBER),
+    ("main construct", ["construct", "--L", "7", "--g", "1", "--orders", COLLISIONS[1][3],
+                        "--equalize", "lcm", "--N", "5"], 2),
+    ("main search", ["search", "--g-max", "1", "--k-max", "4", "--m-max", "10", "--L", "2"], 5),
 )
 CLI_REPEATS = 5
 
@@ -230,11 +236,11 @@ def _cli_layer() -> dict:
         fpc = os.path.join(scratch, "fpc.json")
         with open(fpc, "w", encoding="utf-8") as handle:
             json.dump(document, handle)
-        for name, argv in CLI_REQUESTS:
+        for name, argv, number in CLI_REQUESTS:
             argv = [fpc if arg == "{fpc}" else arg for arg in argv]
-            entry = time_call(lambda argv=argv: _main(argv, sink), CLI_REPEATS)
+            entry = time_call(lambda argv=argv: _main(argv, sink), CLI_REPEATS, number)
             out = io.StringIO()
-            entry["number"], entry["sha256"] = NUMBER, _digest([_main(argv, out), out.getvalue()])
+            entry["number"], entry["sha256"] = number, _digest([_main(argv, out), out.getvalue()])
             inputs[name] = entry
     return inputs
 

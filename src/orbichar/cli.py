@@ -16,7 +16,6 @@ import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import cache
-from math import gcd
 from pathlib import Path
 
 from .classify import (
@@ -29,8 +28,8 @@ from .classify import (
 )
 from .constructions import (
     ConstructionError,
+    _scaled_collision_pair,
     base_pair,
-    build_collision_pair,
     expand_family,
     general_gamma_family,
     same_level_family,
@@ -178,27 +177,21 @@ def _rational_list(values) -> str:
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
-def _count_digits(counts: set[int]) -> dict[int, str]:
-    """Each count's str(), computed through the counts' common factor.
+def _count_digits(scale: int, cofactors: set[int]) -> dict[int, str]:
+    """Each cofactor's count str(scale * cofactor), keyed by the cofactor.
 
     int -> str is quadratic in the digits, and a family's counts are small
-    cofactors of one large shared factor, so that factor is converted once
-    and each count is the exact Decimal product of it and its cofactor;
-    str() of a Decimal with exponent 0 gives plain digits.  A count past
-    the int -> str digit limit raises str()'s own ValueError.
+    cofactors times the builder's one large scale, so the scale is converted
+    once and each count is the exact Decimal product of it and its
+    cofactor; str() of a Decimal with exponent 0 gives plain digits.  A
+    count past the int -> str digit limit raises str()'s own ValueError.
     """
-    common = gcd(*counts)
-    if common < 2:  # nothing is shared
-        return {count: str(count) for count in counts}
+    head, multiply = Decimal(str(scale)), _EXACT.multiply
+    digits = {cofactor: str(multiply(head, Decimal(cofactor))) for cofactor in cofactors}
     limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-    # a count of at most 3 * limit bits is below 8**limit, so within it
-    if limit and max(counts).bit_length() > 3 * limit:
-        ceiling = 10**limit
-        for count in counts:
-            if count >= ceiling:
-                str(count)  # raises, as the plain conversion would
-    head, multiply = Decimal(str(common)), _EXACT.multiply
-    return {count: str(multiply(head, Decimal(count // common))) for count in counts}
+    if limit and max(map(len, digits.values())) > limit:
+        str(scale * max(cofactors))  # raises, as the plain conversion would
+    return digits
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +223,16 @@ def cmd_construct(args) -> int:
     genus = parse_int(args.genus)
     # --N is read and range-checked before any pair is built
     members = None if args.members is None else check_int(parse_int(args.members), "family size", 2)
-    pair = build_collision_pair(level, genus, seeds, equalize=args.equalize)
+    # The builders verified this cofactor family; the written family is its
+    # scale-fold repeat, which passes the same check (see _verify_family).
+    scale, pair = _scaled_collision_pair(level, genus, seeds, equalize=args.equalize)
     family = list(pair) if members is None else expand_family(*pair, members, level)
     # Every number is converted before the first write: one past the
     # int->str digit limit must leave stdout empty, not half a document.
-    digits = _count_digits({count for sig in family for _, count in sig.cones})
-    # The builders verified the family (distinct members, equal values at
-    # levels 0..level), so one sequence stands for every member.
-    sequence = _rational_list(char_sequence(family[0], level))
+    digits = _count_digits(scale, {count for sig in family for _, count in sig.cones})
+    # One sequence stands for every member, mapped through the repeat.
+    top = 2 - 2 * family[0].genus
+    sequence = _rational_list(top + scale * (v - top) for v in char_sequence(family[0], level))
     # The json.dumps(..., separators=(",", ":")) document, written piece by
     # piece: no string is built around the (possibly huge) count digits.
     write = sys.stdout.write

@@ -6,9 +6,9 @@ builders here produce such families for the free-abelian characteristics up
 to a chosen level, and for arbitrary finitely generated groups via cone
 orders chosen coprime to all torsion.
 
-While ``build_collision_pair`` merges pairs level by level, each member is
-held as a weighted sum of base-pair signatures, (weight, base) terms, and
-only the final two members are built as signatures.
+While ``build_collision_pair`` merges pairs level by level, each pair is
+held as one shared scale times two small cofactors, weighted sums of base
+pairs; only the final cofactors are built, verified and then repeated.
 
 Every constructed family is re-verified by direct recomputation before it
 is returned; a verification failure signals an implementation bug and
@@ -139,6 +139,8 @@ def equalize_cone_counts(pairs: list[Pair], mode: str = "lcm") -> list[Pair]:
 # Power sums are linear in the multiplicities, so repeat scales the weights
 # and combine concatenates the terms: one product per seed, not per cone.
 Terms = list[tuple[int, OrbifoldSignature]]
+# (scale, (terms, terms)): the scale-fold repeat of a pair of cofactors
+ScaledPair = tuple[int, tuple[Terms, Terms]]
 
 
 def _scaled(terms: Terms, t: int) -> Terms:
@@ -149,18 +151,18 @@ def _power_sum(terms: Terms, exponent: int) -> int:
     return sum(weight * power_sum(base, exponent).numerator for weight, base in terms)
 
 
-def _merge_level(first: tuple[Terms, Terms], second: tuple[Terms, Terms], exponent: int):
+def _merge_level(first: ScaledPair, second: ScaledPair, exponent: int) -> ScaledPair:
     """One recursive step: two pairs agreeing through level ``exponent``
     become one pair agreeing through level ``exponent + 1``.
 
     All four members must share one cone count, and ``exponent`` is >= 0.
     If either pair already agrees at the next level it is passed through
-    unchanged.  Otherwise the pairs are cross-weighted by the
-    exponent-``exponent`` power-sum gaps, which cancel exactly at the next
-    level and leave all lower levels equal.
+    unchanged, scale included.  Otherwise the scales multiply and the
+    cofactors are cross-weighted by their exponent-``exponent`` power-sum
+    gaps, which cancel exactly at the next level, keeping lower ones equal.
     """
-    a, a2 = first
-    c, c2 = second
+    s, (a, a2) = first
+    t, (c, c2) = second
     delta1 = _power_sum(a, exponent) - _power_sum(a2, exponent)
     delta2 = _power_sum(c2, exponent) - _power_sum(c, exponent)
     if delta1 == 0:
@@ -171,7 +173,7 @@ def _merge_level(first: tuple[Terms, Terms], second: tuple[Terms, Terms], expone
         a, a2, delta1 = a2, a, -delta1
     if delta2 < 0:
         c, c2, delta2 = c2, c, -delta2
-    return (
+    return s * t, (
         _scaled(a, delta2) + _scaled(c, delta1),
         _scaled(a2, delta2) + _scaled(c2, delta1),
     )
@@ -189,20 +191,26 @@ def build_collision_pair(
     and exactly 2**(level-2) strictly increasing seeds >= 2 are required for
     level >= 3.  Pairs are merged level by level, re-equalizing cone counts
     across the surviving pairs after each level (by the rule of
-    ``equalize_cone_counts``).  During the merges each member is held as a
-    weighted sum of base-pair signatures; only the final two members are
-    built as signatures, and they are verified (distinctness plus
-    characteristic equality) before returning.
+    ``equalize_cone_counts``).  The pair is the scale-fold repeat of a
+    verified cofactor pair (distinctness plus characteristic equality), see
+    ``_verify_family``.
     """
+    scale, pair = _scaled_collision_pair(level, genus, seeds, equalize)
+    return tuple(repeat(sig, scale) for sig in pair)
+
+
+def _scaled_collision_pair(level: int, genus: int, seeds: list[int], equalize: str) -> tuple[int, Pair]:
+    """``build_collision_pair`` as (scale, verified cofactor pair)."""
     check_int(level, "level", 0)
     seeds = sorted(check_int(s, "seed", 2) for s in seeds)
     if len(set(seeds)) != len(seeds):
         raise ValueError("seeds must be distinct")
     needed = 1 if level <= 2 else 2 ** (level - 2)
     if len(seeds) != needed:
-        raise ValueError(f"level {level} needs exactly {needed} seeds, got {len(seeds)}")
+        noun = "seed" if needed == 1 else "seeds"
+        raise ValueError(f"level {level} needs exactly {needed} {noun}, got {len(seeds)}")
 
-    pairs = [tuple([(1, sig)] for sig in base_pair(genus, s)) for s in seeds]
+    pairs = [(1, tuple([(1, sig)] for sig in base_pair(genus, s))) for s in seeds]
     factors = _equalizer(equalize)
     exponent = 2
     while len(pairs) > 1:
@@ -211,16 +219,14 @@ def build_collision_pair(
             for i in range(0, len(pairs), 2)
         ]
         # Both members of a merged pair have the same cone count.
-        counts = [sum(w * base.cone_count for w, base in first) for first, _ in merged]
-        pairs = [
-            (_scaled(first, t), _scaled(second, t))
-            for (first, second), t in zip(merged, factors(counts))
-        ]
+        counts = [s * sum(w * base.cone_count for w, base in first) for s, (first, _) in merged]
+        pairs = [(s * t, terms) for (s, terms), t in zip(merged, factors(counts))]
         exponent += 1
 
-    pair = tuple(_signature(genus, terms) for terms in pairs[0])
+    scale, terms = pairs[0]
+    pair = tuple(_signature(genus, member) for member in terms)
     _verify_family(list(pair), level)
-    return pair
+    return scale, pair
 
 
 def _signature(genus: int, terms: Terms) -> OrbifoldSignature:
@@ -246,8 +252,8 @@ def expand_family(
     Shared cone orders are first stripped from both sides (which shifts all
     characteristics identically), leaving disjoint cone supports; the j-th
     member is then the weighted sum of members-j copies of the first
-    signature and j-1 copies of the second, built as one signature (the
-    form ``build_collision_pair`` holds its members in during the merges).
+    signature and j-1 copies of the second, built as one signature from
+    (weight, base) terms, as ``build_collision_pair`` builds its cofactors.
     Each member has a different number of cones of
     the first signature's orders, so all are distinct, while the common
     characteristic value 2 - 2g - (N-1)k + (N-1)*power_sum does not depend
@@ -268,17 +274,13 @@ def expand_family(
     if a == b:
         raise ValueError("pair members must be distinct")
 
-    cones_a = Counter(dict(a.cones))
-    cones_b = Counter(dict(b.cones))
+    cones_a, cones_b = Counter(dict(a.cones)), Counter(dict(b.cones))
     shared = cones_a & cones_b
-    cones_a -= shared
-    cones_b -= shared
-
-    family = []
-    for j in range(1, members + 1):
-        sides = ((members - j, cones_a), (j - 1, cones_b))
-        cones = [(order, t * count) for t, side in sides if t for order, count in side.items()]
-        family.append(OrbifoldSignature(a.genus, cones))
+    sides = [OrbifoldSignature(a.genus, cones - shared) for cones in (cones_a, cones_b)]
+    family = [
+        _signature(a.genus, [(t, side) for t, side in zip((members - j, j - 1), sides) if t])
+        for j in range(1, members + 1)
+    ]
     try:
         _verify_family(family, level)
     except ConstructionError:
@@ -290,6 +292,9 @@ def expand_family(
 
 
 def _verify_family(family: list[OrbifoldSignature], level: int) -> None:
+    """Refuse a family not pairwise distinct or unequal at a level 0..level.
+    For S >= 1 and genus g, repeat is injective and chi_l(repeat(x, S)) =
+    (2 - 2g) + S * (chi_l(x) - (2 - 2g)): a family passes iff its repeat does."""
     if len(set(family)) != len(family):
         raise ConstructionError("family members are not pairwise distinct")
     for l in range(level + 1):

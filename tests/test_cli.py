@@ -12,10 +12,15 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from orbichar import cli
+from orbichar import cli, constructions
 from orbichar.classify import char_sequence
 from orbichar.cli import _CONE_MEMO_SIZE, _cone_text, _count_digits, _signature_line, main
-from orbichar.constructions import build_collision_pair, expand_family
+from orbichar.constructions import (
+    ConstructionError,
+    _scaled_collision_pair,
+    build_collision_pair,
+    expand_family,
+)
 from orbichar.core import OrbifoldSignature, format_rational
 from orbichar.sectors import group_by_name
 
@@ -235,45 +240,64 @@ def test_construct_level_7_matches_json_dumps_and_pin(run, members):
     assert len(out.encode()) == entry["bytes"]
 
 
-def _counts(level, genus, seeds, members, equalize="lcm"):
-    return {count for sig in _family(level, genus, seeds, members, equalize) for _, count in sig.cones}
+def _scaled_counts(level, genus, seeds, members, equalize="lcm"):
+    """The scale and cofactor counts construct writes, as (scale, cofactors)."""
+    scale, pair = _scaled_collision_pair(level, genus, seeds, equalize)
+    family = list(pair) if members is None else expand_family(*pair, members, level)
+    return scale, {count for sig in family for _, count in sig.cones}
 
 
 def _pinned_counts(level, members):
     entry = _pinned_construct(level, members)
-    return _counts(level, entry["genus"], _seeds(entry), members)
+    return _scaled_counts(level, entry["genus"], _seeds(entry), members)
 
 
-# count sets built when their case runs, not at collection
+# (scale, cofactors) built when their case runs, not at collection
 _COUNT_SETS = {
-    "coprime": lambda: {6, 35, 143},  # nothing shared
-    "single": lambda: {12},
-    "at-limit": lambda: {3 * 10**4299, 6 * 10**4299},  # the default digit limit itself
+    "coprime": lambda: (1, {6, 35, 143}),  # nothing shared
+    "single": lambda: (4, {3}),
+    "at-limit": lambda: (10**4299, {3, 6}),  # the default digit limit itself
     "lcm-7": lambda: _pinned_counts(7, None),
     "lcm-7-N5": lambda: _pinned_counts(7, 5),
-    "product-5": lambda: _counts(5, 2, list(range(6, 14)), 4, "product"),
+    "product-5": lambda: _scaled_counts(5, 2, list(range(6, 14)), 4, "product"),
 }
 
 
 @pytest.mark.parametrize("case", list(_COUNT_SETS))
 def test_count_digits_equal_str(case):
-    counts = _COUNT_SETS[case]()
-    assert _count_digits(counts) == {count: str(count) for count in counts}
+    scale, cofactors = _COUNT_SETS[case]()
+    assert _count_digits(scale, cofactors) == {c: str(scale * c) for c in cofactors}
 
 
-@pytest.mark.skipif(
+# counts as (scale, cofactors)
+_PAST_THE_LIMIT = [
+    (10**4299, {3, 30}),  # shared factor, one count of 4,301 digits
+    (1, {10**4300 + 1, 2}),  # nothing shared
+    (10**4250, {7, 10**60}),  # a 4,251-digit scale, one count of 4,311 digits
+]
+_DEFAULT_LIMIT = pytest.mark.skipif(
     getattr(sys, "get_int_max_str_digits", int)() != 4300, reason="needs the default int->str digit limit"
 )
-@pytest.mark.parametrize(
-    "counts",
-    [
-        {3 * 10**4299, 30 * 10**4299},  # shared factor, one count of 4,301 digits
-        {10**4300 + 1, 2},  # nothing shared
-    ],
-)
+
+
+@_DEFAULT_LIMIT
+@pytest.mark.parametrize("counts", _PAST_THE_LIMIT)
 def test_count_digits_past_the_limit_raise(counts):
     with pytest.raises(ValueError, match="Exceeds the limit"):
-        _count_digits(counts)
+        _count_digits(*counts)
+
+
+@_DEFAULT_LIMIT
+@pytest.mark.parametrize("members", [None, 3])
+def test_construct_with_a_scale_under_the_limit_writes_nothing(run, monkeypatch, members):
+    # a scale that converts on its own, times a cofactor that takes the
+    # count past the limit: str()'s own error, before the first write
+    cofactors = tuple(constructions.repeat(sig, 10**60) for sig in constructions.base_pair(0, 2))
+    monkeypatch.setattr(cli, "_scaled_collision_pair", lambda *args, **kwargs: (10**4250, cofactors))
+    argv = ["construct", "--L", "2", "--g", "0", "--orders", "2"] + ([] if members is None else ["--N", "3"])
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
 
 
 def test_construct_past_the_digit_limit_writes_nothing(run):
@@ -294,15 +318,28 @@ def test_construct_bad_seed_count_exits_2(run):
     assert err
 
 
+@pytest.mark.parametrize(
+    "level, orders, named",
+    [
+        ("1", "3,4", "level 1 needs exactly 1 seed, got 2"),
+        ("2", "3,4,5", "level 2 needs exactly 1 seed, got 3"),
+        ("3", "3", "level 3 needs exactly 2 seeds, got 1"),
+        ("5", "3,4", "level 5 needs exactly 8 seeds, got 2"),
+    ],
+)
+def test_construct_names_the_seed_count(run, level, orders, named):
+    assert run("construct", "--L", level, "--g", "0", "--orders", orders) == (2, "", f"error: {named}\n")
+
+
 @pytest.mark.parametrize("orders", [",".join(map(str, range(2, 34))), "1"])
 def test_construct_reads_members_before_building(run, monkeypatch, orders):
     # a malformed or too small --N exits 2 before any pair is built (the 32
     # seeds of an L=7 pair), and it is named before the seed refusal of
     # "--orders 1"
     def refuse(*args, **kwargs):
-        raise AssertionError("build_collision_pair called")
+        raise AssertionError("_scaled_collision_pair called")
 
-    monkeypatch.setattr("orbichar.cli.build_collision_pair", refuse)
+    monkeypatch.setattr("orbichar.cli._scaled_collision_pair", refuse)
     for members, named in [
         ("x", "'x'"),
         ("1", "family size must be an integer >= 2, got 1"),
@@ -328,6 +365,39 @@ def test_construct_refused_by_its_own_verification_exits_4(run, monkeypatch, pai
     monkeypatch.setattr("orbichar.constructions.base_pair", lambda genus, seed: pair)
     code, out, err = run("construct", "--L", "2", "--g", "0", "--orders", "3")
     assert (code, out, err) == (4, "", f"error: {message}\n")
+
+
+def _miscount_next_build(monkeypatch):
+    """Make the next signature that constructions._signature builds (a
+    cofactor, or a family member) hold one cone more of its lowest order."""
+    build, done = constructions._signature, []
+
+    def miscounted(genus, terms):
+        sig = build(genus, terms)
+        if done:
+            return sig
+        done.append(sig)
+        (order, count), *rest = sig.cones
+        return OrbifoldSignature(genus, [(order, count + 1), *rest])
+
+    monkeypatch.setattr(constructions, "_signature", miscounted)
+
+
+def test_a_miscounted_build_is_refused(run, monkeypatch):
+    # mutation check: the verification fires when one count is off by one,
+    # and the CLI then exits 4 with nothing written
+    seeds = [2, 3, 4, 5]
+    pair = build_collision_pair(4, 0, seeds)
+    _miscount_next_build(monkeypatch)
+    with pytest.raises(ConstructionError, match="differ at level 0"):
+        build_collision_pair(4, 0, seeds)
+    _miscount_next_build(monkeypatch)
+    with pytest.raises(ConstructionError, match="differ at level 0"):
+        expand_family(*pair, 3, 4)
+    for members in ([], ["--N", "3"]):
+        _miscount_next_build(monkeypatch)
+        code, out, err = run("construct", "--L", "4", "--g", "0", "--orders", "2,3,4,5", *members)
+        assert (code, out, err) == (4, "", "error: family characteristics differ at level 0\n"), members
 
 
 def test_reconstruct_round_trip(run):

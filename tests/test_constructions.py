@@ -275,10 +275,11 @@ def test_merge_level_pass_through():
     deep = build_collision_pair(3, 0, [2, 3])  # agrees through level 3
     shallow = base_pair(0, 5)
     scale_up = deep[0].cone_count // shallow[0].cone_count
-    deep = tuple([(1, member)] for member in deep)
-    shallow = tuple([(scale_up, member)] for member in shallow)
+    # as (scale, (terms, terms)) pairs: 3 * deep and 3 * scale_up * shallow
+    deep = (3, tuple([(1, member)] for member in deep))
+    shallow = (3 * scale_up, tuple([(1, member)] for member in shallow))
     # whichever side already agrees at the next level passes through
-    # unchanged instead of being merged
+    # unchanged, scale included, instead of being merged
     assert _merge_level(deep, shallow, 2) == deep
     assert _merge_level(shallow, deep, 2) == deep
 
