@@ -39,10 +39,12 @@ Layers so far:
   output is each set's coefficients as "p/q" strings and depth;
 - `cli`: `build_parser()` with every subcommand, `build_parser("chi")` with
   one, each output its help text at 80 columns; and `cli.main` in process
-  with stdout sent to a sink, on six requests like perfbench's: `chi`,
+  with stdout sent to a sink, on seven requests like perfbench's: `chi`,
   `reconstruct`, `enumerate`, a C6 `quotient` whose fixed-point file is
   written before timing, `construct` on the pinned lcm L=7 `--N 5` input
-  of the `build_collision_pair` layer, and `search` on one small window.
+  of the `build_collision_pair` layer and on its pinned lcm L=7 pair
+  (`main construct pair`, the emit path without `--N`), and `search` on
+  one small window.
   A `main` output is its exit code and stdout.
 
 Standard library only.
@@ -99,15 +101,16 @@ QUOTIENTS = (
 )
 QUOTIENT_REPEATS = 5
 # (name, level, genus, seeds, equalize, family size or None for the pair,
-# calls per timing): the lcm L=7 inputs take 8-30 ms a call, the L=5 ones
-# under 1 ms, so each input times 20-60 ms of calls
+# calls per timing): the lcm L=7 pair takes 5-8 ms a call, the lcm L=7
+# family of 5 17-25 ms and the L=5 inputs 0.4-0.6 ms, so each input times
+# 20-60 ms of calls
 COLLISIONS = (
     ("lcm L=7", 7, 1, "3,15,17,19,20,22,39,49,56,64,67,75,97,99,101,103,110,112,122,125,"
-     "133,135,137,141,168,170,180,182,185,187,188,197", "lcm", None, 2),
+     "133,135,137,141,168,170,180,182,185,187,188,197", "lcm", None, 5),
     ("lcm L=7 N=5", 7, 1, "5,8,10,18,25,28,52,57,63,65,68,91,100,120,122,129,131,135,138,"
      "148,152,155,159,161,163,169,170,173,179,191,195,199", "lcm", 5, 2),
-    ("lcm L=5", 5, 0, "8,18,24,62,141,153,187,193", "lcm", None, 30),
-    ("product L=5", 5, 3, "68,74,94,100,124,131,134,163", "product", None, 30),
+    ("lcm L=5", 5, 0, "8,18,24,62,141,153,187,193", "lcm", None, 60),
+    ("product L=5", 5, 3, "68,74,94,100,124,131,134,163", "product", None, 60),
 )
 COLLISION_REPEATS = 5
 # calls per timing by sequence set: a reconstruct pass over a set takes
@@ -116,8 +119,9 @@ RECONSTRUCT_NUMBERS = {"full": 4, "prefixes": 80, "large orders": 80}
 RECURRENCE_NUMBERS = {"full": 15, "prefixes": 150, "large orders": 300}
 SEQUENCE_REPEATS = 5
 # (input name, argv, calls per timing) of the cli layer's main calls:
-# "{fpc}" stands for the fixed-point file; construct takes 10-20 ms a call,
-# search about 4 ms, the others 0.3-1.5 ms
+# "{fpc}" stands for the fixed-point file; construct takes 6-9 ms a call
+# for the pair and 11-20 ms for the family of 5, search about 4 ms, the
+# others 0.3-1.5 ms
 CLI_REQUESTS = (
     ("main chi", ["chi", "--sig", "Sigma_0(5,5,10)", "--l", "0"], NUMBER),
     ("main reconstruct", ["reconstruct", "--seq=-1/2,2,19,149,1249,11249"], NUMBER),
@@ -125,6 +129,8 @@ CLI_REQUESTS = (
     ("main quotient", ["quotient", "--group", "C6", "--fpc", "{fpc}", "--gamma", "Z^2"], NUMBER),
     ("main construct", ["construct", "--L", "7", "--g", "1", "--orders", COLLISIONS[1][3],
                         "--equalize", "lcm", "--N", "5"], 2),
+    ("main construct pair", ["construct", "--L", "7", "--g", "1", "--orders", COLLISIONS[0][3],
+                             "--equalize", "lcm"], 4),
     ("main search", ["search", "--g-max", "1", "--k-max", "4", "--m-max", "10", "--L", "2"], 5),
 )
 CLI_REPEATS = 5

@@ -16,6 +16,7 @@ import sys
 from decimal import MAX_EMAX, MAX_PREC, MIN_EMIN, Context, Decimal
 from fractions import Fraction
 from functools import cache
+from math import gcd
 from pathlib import Path
 
 from .classify import (
@@ -173,25 +174,46 @@ def _rational_list(values) -> str:
     return "[" + ",".join(f'"{format_rational(v)}"' for v in values) + "]"
 
 
-# Integer products are exact in this context: no count nears its precision.
+# Integer arithmetic is exact in this context: no count nears its precision.
 _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN)
 
 
-def _count_digits(scale: int, cofactors: set[int]) -> dict[int, str]:
-    """Each cofactor's count str(scale * cofactor), keyed by the cofactor.
-
-    int -> str is quadratic in the digits, and a family's counts are small
-    cofactors times the builder's one large scale, so the scale is converted
-    once and each count is the exact Decimal product of it and its
-    cofactor; str() of a Decimal with exponent 0 gives plain digits.  A
-    count past the int -> str digit limit raises str()'s own ValueError.
-    """
-    head, multiply = Decimal(str(scale)), _EXACT.multiply
-    digits = {cofactor: str(multiply(head, Decimal(cofactor))) for cofactor in cofactors}
-    limit = getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
-    if limit and max(map(len, digits.values())) > limit:
-        str(scale * max(cofactors))  # raises, as the plain conversion would
+def _digits(number: Decimal, value) -> str:
+    """str() of an integral Decimal; past the digit limit, str() of the equal int value() raises."""
+    digits, limit = str(number), getattr(sys, "get_int_max_str_digits", int)()  # 0: no limit
+    if limit and len(digits) - digits.startswith("-") > limit:
+        str(value())
     return digits
+
+
+def _count_digits(head: Decimal, cofactors: set[int], most: int) -> dict[int, str]:
+    """Each count str(scale * cofactor), by exact Decimal arithmetic on head =
+    Decimal(str(scale)) (int -> str is quadratic).  In ascending order, a cofactor
+    t * r, t in 2..most, r an earlier root, is r's Decimal times t, linear in the
+    digits; any other is a root, head times it.  An N-member family's counts are
+    weights 1..N-1 times base-pair multiplicities 1 or 2 times roots: most = 2N - 2."""
+    roots, digits = {}, {}  # only the roots' Decimals outlive their strings
+    for cofactor in sorted(cofactors):
+        t = next((t for t in range(2, most + 1) if not cofactor % t and cofactor // t in roots), 0)
+        count = _EXACT.multiply(roots[cofactor // t], t) if t else _EXACT.multiply(head, cofactor)
+        if not t:
+            roots[cofactor] = count
+        digits[cofactor] = _digits(count, lambda: int(head) * cofactor)
+    return digits
+
+
+def _sequence_text(head: Decimal, sig: OrbifoldSignature, level: int) -> str:
+    """_rational_list(top + scale * (v - top) for sig's values v through level),
+    top = 2 - 2g.  For v - top = n/q and g = gcd(scale, q), the value is (top * q
+    + scale * n) / g over q / g (q = 1 at level >= 1), computed on head."""
+    top, texts = 2 - 2 * sig.genus, []
+    for value in char_sequence(sig, level):
+        n, q = (value - top).as_integer_ratio()
+        g = gcd(int(_EXACT.remainder(head, q)), q)
+        numerator = _EXACT.divide_int(_EXACT.fma(head, n, top * q), g)
+        digits = _digits(numerator, lambda: (top * q + int(head) * n) // g)
+        texts.append(f'"{digits}"' if q == g else f'"{digits}/{q // g}"')
+    return "[" + ",".join(texts) + "]"
 
 
 # ---------------------------------------------------------------------------
@@ -229,10 +251,10 @@ def cmd_construct(args) -> int:
     family = list(pair) if members is None else expand_family(*pair, members, level)
     # Every number is converted before the first write: one past the
     # int->str digit limit must leave stdout empty, not half a document.
-    digits = _count_digits(scale, {count for sig in family for _, count in sig.cones})
+    head = Decimal(str(scale))  # the one conversion of the scale
+    digits = _count_digits(head, {count for sig in family for _, count in sig.cones}, 2 * len(family) - 2)
     # One sequence stands for every member, mapped through the repeat.
-    top = 2 - 2 * family[0].genus
-    sequence = _rational_list(top + scale * (v - top) for v in char_sequence(family[0], level))
+    sequence = _sequence_text(head, family[0], level)
     # The json.dumps(..., separators=(",", ":")) document, written piece by
     # piece: no string is built around the (possibly huge) count digits.
     write = sys.stdout.write
@@ -245,10 +267,8 @@ def cmd_construct(args) -> int:
             write('"}')
         write("]}")
     write('],"verification":{"char_sequences":[')
-    write(sequence)
-    for _ in family[1:]:
-        write(",")
-        write(sequence)
+    for i, _ in enumerate(family):
+        write(f'{"," if i else ""}{sequence}')
     write(f'],"agree_through_level":{level},"pairwise_distinct":true}}}}\n')
     return EXIT_OK
 

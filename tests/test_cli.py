@@ -5,6 +5,7 @@ import json
 import subprocess
 import sys
 import time
+from decimal import Decimal
 from functools import cache
 from itertools import product
 from pathlib import Path
@@ -14,7 +15,15 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from orbichar import cli, constructions
 from orbichar.classify import char_sequence
-from orbichar.cli import _CONE_MEMO_SIZE, _cone_text, _count_digits, _signature_line, main
+from orbichar.cli import (
+    _CONE_MEMO_SIZE,
+    _cone_text,
+    _count_digits,
+    _rational_list,
+    _sequence_text,
+    _signature_line,
+    main,
+)
 from orbichar.constructions import (
     ConstructionError,
     _scaled_collision_pair,
@@ -229,7 +238,7 @@ def test_construct_matches_json_dumps_byte_for_byte(run):
     assert repeated  # the per-count memo is exercised
 
 
-@pytest.mark.parametrize("members", [None, 5])
+@pytest.mark.parametrize("members", [None, 2, 4, 5])  # every pinned lcm L=7 family size
 def test_construct_level_7_matches_json_dumps_and_pin(run, members):
     # counts of ~4,000 digits, converted through their common factor
     entry = _pinned_construct(7, members)
@@ -241,10 +250,11 @@ def test_construct_level_7_matches_json_dumps_and_pin(run, members):
 
 
 def _scaled_counts(level, genus, seeds, members, equalize="lcm"):
-    """The scale and cofactor counts construct writes, as (scale, cofactors)."""
+    """The scale, cofactor counts and multiplier bound construct writes
+    with, as (scale, cofactors, most)."""
     scale, pair = _scaled_collision_pair(level, genus, seeds, equalize)
     family = list(pair) if members is None else expand_family(*pair, members, level)
-    return scale, {count for sig in family for _, count in sig.cones}
+    return scale, {count for sig in family for _, count in sig.cones}, 2 * (len(family) - 1)
 
 
 def _pinned_counts(level, members):
@@ -252,28 +262,32 @@ def _pinned_counts(level, members):
     return _scaled_counts(level, entry["genus"], _seeds(entry), members)
 
 
-# (scale, cofactors) built when their case runs, not at collection
+# (scale, cofactors, most) built when their case runs, not at collection
 _COUNT_SETS = {
-    "coprime": lambda: (1, {6, 35, 143}),  # nothing shared
-    "single": lambda: (4, {3}),
-    "at-limit": lambda: (10**4299, {3, 6}),  # the default digit limit itself
+    "coprime": lambda: (1, {6, 35, 143}, 2),  # nothing shared
+    "single": lambda: (4, {3}, 2),
+    "at-limit": lambda: (10**4299, {3, 6}, 2),  # the default digit limit itself, 6 = 2 * 3
     "lcm-7": lambda: _pinned_counts(7, None),
     "lcm-7-N5": lambda: _pinned_counts(7, 5),
     "product-5": lambda: _scaled_counts(5, 2, list(range(6, 14)), 4, "product"),
+    "lcm-7-N4": lambda: _pinned_counts(7, 4),
+    "lcm-7-N2": lambda: _pinned_counts(7, 2),
+    "product-5-N6": lambda: _scaled_counts(5, 2, list(range(6, 14)), 6, "product"),
 }
 
 
 @pytest.mark.parametrize("case", list(_COUNT_SETS))
 def test_count_digits_equal_str(case):
-    scale, cofactors = _COUNT_SETS[case]()
-    assert _count_digits(scale, cofactors) == {c: str(scale * c) for c in cofactors}
+    scale, cofactors, most = _COUNT_SETS[case]()
+    assert _count_digits(Decimal(str(scale)), cofactors, most) == {c: str(scale * c) for c in cofactors}
 
 
-# counts as (scale, cofactors)
+# counts as (scale, cofactors, most)
 _PAST_THE_LIMIT = [
-    (10**4299, {3, 30}),  # shared factor, one count of 4,301 digits
-    (1, {10**4300 + 1, 2}),  # nothing shared
-    (10**4250, {7, 10**60}),  # a 4,251-digit scale, one count of 4,311 digits
+    (10**4299, {3, 30}, 2),  # shared factor, one count of 4,301 digits
+    (1, {10**4300 + 1, 2}, 2),  # nothing shared
+    (10**4250, {7, 10**60}, 2),  # a 4,251-digit scale, one count of 4,311 digits
+    (10**4299, {5, 10}, 2),  # 5 * scale has 4,300 digits, its double 4,301
 ]
 _DEFAULT_LIMIT = pytest.mark.skipif(
     getattr(sys, "get_int_max_str_digits", int)() != 4300, reason="needs the default int->str digit limit"
@@ -283,8 +297,32 @@ _DEFAULT_LIMIT = pytest.mark.skipif(
 @_DEFAULT_LIMIT
 @pytest.mark.parametrize("counts", _PAST_THE_LIMIT)
 def test_count_digits_past_the_limit_raise(counts):
+    scale, cofactors, most = counts
     with pytest.raises(ValueError, match="Exceeds the limit"):
-        _count_digits(*counts)
+        _count_digits(Decimal(str(scale)), cofactors, most)
+
+
+def _pinned_first_cofactor(level):
+    entry = _pinned_construct(level, None)
+    scale, pair = _scaled_collision_pair(level, entry["genus"], _seeds(entry), "lcm")
+    return scale, pair[0], level
+
+
+# (scale, signature, level) of the sequence formatter's cases
+_SEQUENCES = {
+    "scale-1": lambda: (1, OrbifoldSignature(0, {3: 2, 7: 1}), 4),
+    "genus-5": lambda: (7, OrbifoldSignature(5, {4: 3, 9: 2}), 3),  # level 1 reads 2 - 2g = -8
+    "reduced": lambda: (4, OrbifoldSignature(0, {12: 1}), 2),  # level 0: 2 + 4 * (-11/12) = -5/3
+    "lcm-7": lambda: _pinned_first_cofactor(7),
+}
+
+
+@pytest.mark.parametrize("case", list(_SEQUENCES))
+def test_sequence_text_equals_rational_list(case):
+    scale, sig, level = _SEQUENCES[case]()
+    top = 2 - 2 * sig.genus
+    expected = _rational_list(top + scale * (v - top) for v in char_sequence(sig, level))
+    assert _sequence_text(Decimal(str(scale)), sig, level) == expected
 
 
 @_DEFAULT_LIMIT
@@ -295,6 +333,19 @@ def test_construct_with_a_scale_under_the_limit_writes_nothing(run, monkeypatch,
     cofactors = tuple(constructions.repeat(sig, 10**60) for sig in constructions.base_pair(0, 2))
     monkeypatch.setattr(cli, "_scaled_collision_pair", lambda *args, **kwargs: (10**4250, cofactors))
     argv = ["construct", "--L", "2", "--g", "0", "--orders", "2"] + ([] if members is None else ["--N", "3"])
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
+
+
+@_DEFAULT_LIMIT
+@pytest.mark.parametrize("members", [None, 3])
+def test_construct_with_only_the_sequence_past_the_limit_writes_nothing(run, monkeypatch, members):
+    # counts of at most 4,296 digits, under the limit, but a level-2 value
+    # of 4,302: str()'s own error, before the first write
+    cofactors = tuple(constructions.repeat(sig, 10**95) for sig in constructions.base_pair(0, 1000))
+    monkeypatch.setattr(cli, "_scaled_collision_pair", lambda *args, **kwargs: (10**4200, cofactors))
+    argv = ["construct", "--L", "2", "--g", "0", "--orders", "1000"] + ([] if members is None else ["--N", "3"])
     code, out, err = run(*argv)
     assert (code, out) == (2, "")
     assert err.startswith("error: Exceeds the limit") and err.count("\n") == 1
