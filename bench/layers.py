@@ -26,7 +26,11 @@ Layers so far:
 - `build_collision_pair` plus `expand_family` on four pinned `construct`
   inputs of perfbench: an lcm L=7 pair, an lcm L=7 family of 5, an lcm L=5
   pair and a product L=5 pair; the output is the family, each member
-  written with `OrbifoldSignature.to_json()`;
+  written with `OrbifoldSignature.to_json()`.  This is the library path,
+  which verifies and expands the full-size pair.  The same four inputs
+  once more, each name followed by " scaled", time what `construct` runs:
+  `constructions._scaled_collision_pair` plus `expand_family` on its
+  cofactors; the output is the scale in hex and the cofactor family;
 - `reconstruct` on three sequence sets built from `random.Random(1)` and
   shaped like perfbench's inverse requests: 40 full sequences (length
   2k+1 for k distinct orders) of genus 0-3 signatures with 1-6 orders in
@@ -84,7 +88,7 @@ from orbichar import (  # noqa: E402
     minimal_recurrence,
     reconstruct,
 )
-from orbichar import cli  # noqa: E402
+from orbichar import cli, constructions  # noqa: E402
 
 ROUNDS, REPEATS, NUMBER = 9, 10, 20
 GROUP_NAMES = ("C60", "D40", "D12xC3", "C6xC6")
@@ -101,16 +105,17 @@ QUOTIENTS = (
 )
 QUOTIENT_REPEATS = 5
 # (name, level, genus, seeds, equalize, family size or None for the pair,
-# calls per timing): the lcm L=7 pair takes 5-8 ms a call, the lcm L=7
-# family of 5 17-25 ms and the L=5 inputs 0.4-0.6 ms, so each input times
-# 20-60 ms of calls
+# calls per timing, calls per timing of the scaled path): the lcm L=7 pair
+# takes 3.4-8 ms a call (scaled 1.7-2 ms), the lcm L=7 family of 5 12-25 ms
+# (scaled 3.7-4 ms) and the L=5 inputs 0.3-0.6 ms either way, so each input
+# times 18-60 ms of calls
 COLLISIONS = (
     ("lcm L=7", 7, 1, "3,15,17,19,20,22,39,49,56,64,67,75,97,99,101,103,110,112,122,125,"
-     "133,135,137,141,168,170,180,182,185,187,188,197", "lcm", None, 5),
+     "133,135,137,141,168,170,180,182,185,187,188,197", "lcm", None, 5, 15),
     ("lcm L=7 N=5", 7, 1, "5,8,10,18,25,28,52,57,63,65,68,91,100,120,122,129,131,135,138,"
-     "148,152,155,159,161,163,169,170,173,179,191,195,199", "lcm", 5, 2),
-    ("lcm L=5", 5, 0, "8,18,24,62,141,153,187,193", "lcm", None, 60),
-    ("product L=5", 5, 3, "68,74,94,100,124,131,134,163", "product", None, 60),
+     "148,152,155,159,161,163,169,170,173,179,191,195,199", "lcm", 5, 2, 8),
+    ("lcm L=5", 5, 0, "8,18,24,62,141,153,187,193", "lcm", None, 60, 60),
+    ("product L=5", 5, 3, "68,74,94,100,124,131,134,163", "product", None, 60, 60),
 )
 COLLISION_REPEATS = 5
 # calls per timing by sequence set: a reconstruct pass over a set takes
@@ -175,6 +180,12 @@ def _quotient(group, fixed, gamma) -> str:
 def _family(level, genus, seeds, equalize, members) -> list:
     pair = build_collision_pair(level, genus, seeds, equalize)
     return list(pair) if members is None else expand_family(*pair, members, level)
+
+
+def _scaled_family(level, genus, seeds, equalize, members) -> tuple:
+    """What construct builds: the shared scale and the cofactor family."""
+    scale, pair = constructions._scaled_collision_pair(level, genus, seeds, equalize)
+    return scale, list(pair) if members is None else expand_family(*pair, members, level)
 
 
 def _small_signature(rng: random.Random) -> OrbifoldSignature:
@@ -269,12 +280,17 @@ def measure() -> dict:
         entry["number"], entry["sha256"] = number, _digest(call())
         quotients[f"{name} {spec}{' without G' if without_whole else ''}"] = entry
     families = {}
-    for name, level, genus, seeds, equalize, members, number in COLLISIONS:
+    for name, level, genus, seeds, equalize, members, number, scaled_number in COLLISIONS:
         args = (level, genus, [int(seed) for seed in seeds.split(",")], equalize, members)
         entry = time_call(lambda args=args: _family(*args), COLLISION_REPEATS, number)
         entry["number"] = number
         entry["sha256"] = _digest([sig.to_json() for sig in _family(*args)])
         families[name] = entry
+        entry = time_call(lambda args=args: _scaled_family(*args), COLLISION_REPEATS, scaled_number)
+        scale, family = _scaled_family(*args)
+        entry["number"] = scaled_number
+        entry["sha256"] = _digest([hex(scale), [sig.to_json() for sig in family]])
+        families[f"{name} scaled"] = entry
     sets = sequence_sets()
     differences = {
         name: [[int(b - a) for a, b in zip(values[1:], values[2:])] for values in sequences]

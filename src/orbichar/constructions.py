@@ -7,8 +7,8 @@ to a chosen level, and for arbitrary finitely generated groups via cone
 orders chosen coprime to all torsion.
 
 While ``build_collision_pair`` merges pairs level by level, each pair is
-held as one shared scale times two small cofactors, weighted sums of base
-pairs; only the final cofactors are built, verified and then repeated.
+held as one shared scale times two small cofactors, merged with ``repeat``
+and ``combine``; only the final cofactors are verified and then repeated.
 
 Every constructed family is re-verified by direct recomputation before it
 is returned; a verification failure signals an implementation bug and
@@ -18,6 +18,7 @@ raises ConstructionError.
 from __future__ import annotations
 
 from collections import Counter
+from functools import reduce
 from math import lcm, prod
 
 from .classify import _factorize
@@ -47,21 +48,24 @@ def scale(sig: OrbifoldSignature, s: int) -> OrbifoldSignature:
     """Multiply every cone order by s (genus and multiplicities unchanged)."""
     if check_int(s, "scale factor", 1) == 1:
         return sig
-    return OrbifoldSignature(sig.genus, [(s * order, count) for order, count in sig.cones])
+    return OrbifoldSignature._trusted(sig.genus, tuple((s * order, count) for order, count in sig.cones))
 
 
 def repeat(sig: OrbifoldSignature, t: int) -> OrbifoldSignature:
     """Multiply every cone multiplicity by t; equals the t-fold self-combine."""
     if check_int(t, "repeat factor", 1) == 1:
         return sig
-    return OrbifoldSignature(sig.genus, [(order, t * count) for order, count in sig.cones])
+    return OrbifoldSignature._trusted(sig.genus, tuple((order, t * count) for order, count in sig.cones))
 
 
 def combine(a: OrbifoldSignature, b: OrbifoldSignature) -> OrbifoldSignature:
     """Merge the cone multisets of two signatures of the same genus."""
     if a.genus != b.genus:
         raise ValueError(f"cannot combine signatures of genus {a.genus} and {b.genus}")
-    return OrbifoldSignature(a.genus, list(a.cones) + list(b.cones))
+    counts = dict(a.cones)
+    for order, count in b.cones:
+        counts[order] = counts.get(order, 0) + count
+    return OrbifoldSignature._trusted(a.genus, tuple(sorted(counts.items())))
 
 
 def remove_cone_point(sig: OrbifoldSignature, order: int) -> OrbifoldSignature:
@@ -135,27 +139,16 @@ def equalize_cone_counts(pairs: list[Pair], mode: str = "lcm") -> list[Pair]:
 # Recursive collision-pair builder
 # ---------------------------------------------------------------------------
 
-# A member as (weight, base) terms, the cone multiset sum of weight * base.
-# Power sums are linear in the multiplicities, so repeat scales the weights
-# and combine concatenates the terms: one product per seed, not per cone.
-Terms = list[tuple[int, OrbifoldSignature]]
-# (scale, (terms, terms)): the scale-fold repeat of a pair of cofactors
-ScaledPair = tuple[int, tuple[Terms, Terms]]
-
-
-def _scaled(terms: Terms, t: int) -> Terms:
-    return [(t * weight, base) for weight, base in terms]
-
-
-def _power_sum(terms: Terms, exponent: int) -> int:
-    return sum(weight * power_sum(base, exponent).numerator for weight, base in terms)
+# (scale, (cofactor, cofactor)): the scale-fold repeat of a pair of cofactors
+ScaledPair = tuple[int, Pair]
 
 
 def _merge_level(first: ScaledPair, second: ScaledPair, exponent: int) -> ScaledPair:
     """One recursive step: two pairs agreeing through level ``exponent``
     become one pair agreeing through level ``exponent + 1``.
 
-    All four members must share one cone count, and ``exponent`` is >= 0.
+    The four full-size members (each cofactor repeated by its scale) must
+    share one cone count, so s * k(a) = t * k(c), and ``exponent`` is >= 0.
     If either pair already agrees at the next level it is passed through
     unchanged, scale included.  Otherwise the scales multiply and the
     cofactors are cross-weighted by their exponent-``exponent`` power-sum
@@ -163,8 +156,8 @@ def _merge_level(first: ScaledPair, second: ScaledPair, exponent: int) -> Scaled
     """
     s, (a, a2) = first
     t, (c, c2) = second
-    delta1 = _power_sum(a, exponent) - _power_sum(a2, exponent)
-    delta2 = _power_sum(c2, exponent) - _power_sum(c, exponent)
+    delta1 = power_sum(a, exponent).numerator - power_sum(a2, exponent).numerator
+    delta2 = power_sum(c2, exponent).numerator - power_sum(c, exponent).numerator
     if delta1 == 0:
         return first
     if delta2 == 0:
@@ -174,8 +167,8 @@ def _merge_level(first: ScaledPair, second: ScaledPair, exponent: int) -> Scaled
     if delta2 < 0:
         c, c2, delta2 = c2, c, -delta2
     return s * t, (
-        _scaled(a, delta2) + _scaled(c, delta1),
-        _scaled(a2, delta2) + _scaled(c2, delta1),
+        combine(repeat(a, delta2), repeat(c, delta1)),
+        combine(repeat(a2, delta2), repeat(c2, delta1)),
     )
 
 
@@ -210,7 +203,7 @@ def _scaled_collision_pair(level: int, genus: int, seeds: list[int], equalize: s
         noun = "seed" if needed == 1 else "seeds"
         raise ValueError(f"level {level} needs exactly {needed} {noun}, got {len(seeds)}")
 
-    pairs = [(1, tuple([(1, sig)] for sig in base_pair(genus, s))) for s in seeds]
+    pairs = [(1, base_pair(genus, s)) for s in seeds]
     factors = _equalizer(equalize)
     exponent = 2
     while len(pairs) > 1:
@@ -219,22 +212,13 @@ def _scaled_collision_pair(level: int, genus: int, seeds: list[int], equalize: s
             for i in range(0, len(pairs), 2)
         ]
         # Both members of a merged pair have the same cone count.
-        counts = [s * sum(w * base.cone_count for w, base in first) for s, (first, _) in merged]
-        pairs = [(s * t, terms) for (s, terms), t in zip(merged, factors(counts))]
+        counts = [s * first.cone_count for s, (first, _) in merged]
+        pairs = [(s * t, pair) for (s, pair), t in zip(merged, factors(counts))]
         exponent += 1
 
-    scale, terms = pairs[0]
-    pair = tuple(_signature(genus, member) for member in terms)
+    scale, pair = pairs[0]
     _verify_family(list(pair), level)
     return scale, pair
-
-
-def _signature(genus: int, terms: Terms) -> OrbifoldSignature:
-    counts: dict[int, int] = {}
-    for weight, base in terms:
-        for order, count in base.cones:
-            counts[order] = counts.get(order, 0) + weight * count
-    return OrbifoldSignature(genus, counts)
 
 
 # ---------------------------------------------------------------------------
@@ -251,9 +235,8 @@ def expand_family(
 
     Shared cone orders are first stripped from both sides (which shifts all
     characteristics identically), leaving disjoint cone supports; the j-th
-    member is then the weighted sum of members-j copies of the first
-    signature and j-1 copies of the second, built as one signature from
-    (weight, base) terms, as ``build_collision_pair`` builds its cofactors.
+    member is then the combine of members-j copies of the first stripped
+    signature and j-1 copies of the second, each built with ``repeat``.
     Each member has a different number of cones of
     the first signature's orders, so all are distinct, while the common
     characteristic value 2 - 2g - (N-1)k + (N-1)*power_sum does not depend
@@ -278,7 +261,7 @@ def expand_family(
     shared = cones_a & cones_b
     sides = [OrbifoldSignature(a.genus, cones - shared) for cones in (cones_a, cones_b)]
     family = [
-        _signature(a.genus, [(t, side) for t, side in zip((members - j, j - 1), sides) if t])
+        reduce(combine, [repeat(side, t) for t, side in zip((members - j, j - 1), sides) if t])
         for j in range(1, members + 1)
     ]
     try:

@@ -249,6 +249,21 @@ def test_construct_level_7_matches_json_dumps_and_pin(run, members):
     assert len(out.encode()) == entry["bytes"]
 
 
+def test_construct_matches_every_pinned_digest(run):
+    # every pinned construct input with a digest (lcm L=2-7 and product
+    # L=2-5 at every --N); the L=8 and product L=6 ones pin no digest
+    pinned = [entry for entry in _PINNED_CONSTRUCT if entry["sha256"] is not None]
+    assert {(entry["equalize"], entry["level"]) for entry in pinned} == {
+        *(("lcm", level) for level in range(2, 8)),
+        *(("product", level) for level in range(2, 6)),
+    }
+    for entry in pinned:
+        code, out, err = run(*entry["argv"])
+        assert (code, err) == (0, ""), entry["argv"]
+        out = out.encode()
+        assert (hashlib.sha256(out).hexdigest(), len(out)) == (entry["sha256"], entry["bytes"]), entry["argv"]
+
+
 def _scaled_counts(level, genus, seeds, members, equalize="lcm"):
     """The scale, cofactor counts and multiplier bound construct writes
     with, as (scale, cofactors, most)."""
@@ -419,19 +434,19 @@ def test_construct_refused_by_its_own_verification_exits_4(run, monkeypatch, pai
 
 
 def _miscount_next_build(monkeypatch):
-    """Make the next signature that constructions._signature builds (a
+    """Make the next signature that constructions.combine builds (a merged
     cofactor, or a family member) hold one cone more of its lowest order."""
-    build, done = constructions._signature, []
+    build, done = constructions.combine, []
 
-    def miscounted(genus, terms):
-        sig = build(genus, terms)
+    def miscounted(a, b):
+        sig = build(a, b)
         if done:
             return sig
         done.append(sig)
         (order, count), *rest = sig.cones
-        return OrbifoldSignature(genus, [(order, count + 1), *rest])
+        return OrbifoldSignature(sig.genus, [(order, count + 1), *rest])
 
-    monkeypatch.setattr(constructions, "_signature", miscounted)
+    monkeypatch.setattr(constructions, "combine", miscounted)
 
 
 def test_a_miscounted_build_is_refused(run, monkeypatch):

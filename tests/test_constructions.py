@@ -88,6 +88,51 @@ def test_combine_commutative_associative(a, b, c):
     assert combine(combine(a, b), c) == combine(a, combine(b, c))
 
 
+# scale, repeat and combine store their output unchecked, so it must be
+# exactly what the validating constructor makes of it, huge counts included
+huge_or_small = st.one_of(st.integers(1, 6), st.integers(10**400, 10**420))
+cone_maps = st.dictionaries(st.integers(2, 40), huge_or_small, max_size=4)
+wide_signatures = st.builds(OrbifoldSignature, st.integers(0, 3), cone_maps)
+
+
+def assert_canonical(out):
+    assert out == OrbifoldSignature(out.genus, out.cones)
+    assert type(out.cones) is tuple
+    assert all(type(cone) is tuple and len(cone) == 2 for cone in out.cones)
+    assert all(type(order) is int and type(count) is int for order, count in out.cones)
+    orders = [order for order, _ in out.cones]
+    assert orders == sorted(set(orders)) and all(order >= 2 for order in orders)
+    assert all(count >= 1 for _, count in out.cones)
+
+
+@given(wide_signatures, huge_or_small, cone_maps)
+def test_surgery_outputs_are_canonical(signature, factor, other_cones):
+    other = OrbifoldSignature(signature.genus, other_cones)
+    for out in (scale(signature, factor), repeat(signature, factor), combine(signature, other)):
+        assert_canonical(out)
+    assert combine(signature, other) == OrbifoldSignature(
+        signature.genus, list(signature.cones) + list(other.cones)
+    )
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: scale(sig(0, 2), 0), "scale factor must be a positive integer, got 0"),
+        (lambda: scale(sig(0, 2), -3), "scale factor must be a positive integer, got -3"),
+        (lambda: scale(sig(0, 2), True), "scale factor must be a positive integer, got True"),
+        (lambda: repeat(sig(0, 2), 0), "repeat factor must be a positive integer, got 0"),
+        (lambda: repeat(sig(0, 2), -1), "repeat factor must be a positive integer, got -1"),
+        (lambda: repeat(sig(0, 2), True), "repeat factor must be a positive integer, got True"),
+        (lambda: combine(sig(0, 2), sig(1, 2)), "cannot combine signatures of genus 0 and 1"),
+    ],
+)
+def test_surgery_refusals_keep_their_messages(call, message):
+    with pytest.raises(ValueError) as refused:
+        call()
+    assert str(refused.value) == message
+
+
 def test_remove_cone_point():
     assert remove_cone_point(sig(0, 5, 5, 10), 5) == sig(0, 5, 10)
     assert remove_cone_point(sig(0, 3), 3) == sig(0)
@@ -275,18 +320,19 @@ def test_merge_level_pass_through():
     deep = build_collision_pair(3, 0, [2, 3])  # agrees through level 3
     shallow = base_pair(0, 5)
     scale_up = deep[0].cone_count // shallow[0].cone_count
-    # as (scale, (terms, terms)) pairs: 3 * deep and 3 * scale_up * shallow
-    deep = (3, tuple([(1, member)] for member in deep))
-    shallow = (3 * scale_up, tuple([(1, member)] for member in shallow))
+    # as (scale, (cofactor, cofactor)) pairs: 3 * deep and 3 * scale_up * shallow
+    deep = (3, deep)
+    shallow = (3 * scale_up, shallow)
     # whichever side already agrees at the next level passes through
     # unchanged, scale included, instead of being merged
     assert _merge_level(deep, shallow, 2) == deep
     assert _merge_level(shallow, deep, 2) == deep
 
 
-# The builder as it was written with the surgery operations: every merge
-# repeats and combines whole signatures, and equalize_cone_counts rescales
-# them.  The weighted-sum builder must give the same pair.
+# The builder on full-size signatures: every merge repeats and combines the
+# members themselves, and equalize_cone_counts rescales them.  The builder,
+# which keeps the equalization factors apart as one shared scale and merges
+# only the cofactors, must give the same pair.
 
 def _surgery_merge_level(first, second, exponent):
     a, a2 = first
