@@ -10,8 +10,9 @@ fixed inputs, an entry holds:
 - `ms`: the median over ROUNDS rounds of the best of REPEATS
   `time.process_time()` timings of NUMBER calls, in milliseconds per call;
 - `iqr_ms`: the distance between the quartiles of those ROUNDS values;
-- `sha256`: the digest of the call's output as compact JSON, so that a
-  changed result shows next to a changed time.
+- `sha256`: the digest of the call's output as compact JSON (text, for
+  the `enumerate` layer), so that a changed result shows next to a
+  changed time.
 
 Layers so far:
 
@@ -41,15 +42,20 @@ Layers so far:
 - `minimal_recurrence` on the level differences of the same three sets,
   which is what `reconstruct` passes it; a call fits the whole set, and the
   output is each set's coefficients as "p/q" strings and depth;
-- `cli`: `build_parser()` with every subcommand, `build_parser("chi")` with
-  one, each output its help text at 80 columns; and `cli.main` in process
-  with stdout sent to a sink, on seven requests like perfbench's: `chi`,
+- `cli`: `build_parser()` with every subcommand and `build_parser("chi")`,
+  the standalone `orbichar chi` parser that a `chi` request builds, each
+  output its help text at 80 columns; and `cli.main` in process with
+  stdout sent to a sink, on eight requests like perfbench's: `chi`,
   `reconstruct`, `enumerate`, a C6 `quotient` whose fixed-point file is
   written before timing, `construct` on the pinned lcm L=7 `--N 5` input
   of the `build_collision_pair` layer and on its pinned lcm L=7 pair
-  (`main construct pair`, the emit path without `--N`), and `search` on
-  one small window.
-  A `main` output is its exit code and stdout.
+  (`main construct pair`, the emit path without `--N`), `search` on one
+  small window, and `verify-paper nonorientable`, the built-in
+  mirrored-cylinder checks.  A `main` output is its exit code and stdout;
+- `enumerate`: `iter_signatures_by_chi_es` run to its end on -3/2,
+  1/1000000000000000003 and -12/5 (7,623 signatures).  Its sha256 is that
+  of the lines `orbichar enumerate --chi-es` prints for the target, not of
+  a compact JSON value, so it can be checked against the command.
 
 Standard library only.
 """
@@ -66,6 +72,7 @@ import statistics
 import sys
 import tempfile
 import time
+from fractions import Fraction
 from unittest import mock
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
@@ -85,6 +92,7 @@ from orbichar import (  # noqa: E402
     expand_family,
     format_rational,
     group_by_name,
+    iter_signatures_by_chi_es,
     minimal_recurrence,
     reconstruct,
 )
@@ -137,8 +145,13 @@ CLI_REQUESTS = (
     ("main construct pair", ["construct", "--L", "7", "--g", "1", "--orders", COLLISIONS[0][3],
                              "--equalize", "lcm"], 4),
     ("main search", ["search", "--g-max", "1", "--k-max", "4", "--m-max", "10", "--L", "2"], 5),
+    ("main verify-paper nonorientable", ["verify-paper", "nonorientable"], NUMBER),
 )
 CLI_REPEATS = 5
+# (target, calls per timing): -3/2 takes about 0.4 ms a call, the huge prime
+# denominator 0.3 ms and -12/5 about 30 ms, so each input times 12-30 ms
+ENUMERATIONS = (("-3/2", 40), ("1/1000000000000000003", 40), ("-12/5", 1))
+ENUMERATE_REPEATS = 5
 
 
 def _digest(value) -> str:
@@ -262,6 +275,17 @@ def _cli_layer() -> dict:
     return inputs
 
 
+def _enumerate_layer() -> dict:
+    inputs = {}
+    for target, number in ENUMERATIONS:
+        call = lambda target=Fraction(target): list(iter_signatures_by_chi_es(target))
+        entry = time_call(call, ENUMERATE_REPEATS, number)
+        lines = "".join(cli._signature_line(sig) + "\n" for sig in call())
+        entry["number"], entry["sha256"] = number, hashlib.sha256(lines.encode()).hexdigest()
+        inputs[target] = entry
+    return inputs
+
+
 def measure() -> dict:
     groups = {}
     for name in GROUP_NAMES:
@@ -333,6 +357,12 @@ def measure() -> dict:
             "rounds": ROUNDS,
             "repeats": CLI_REPEATS,
             "inputs": _cli_layer(),
+        },
+        "enumerate": {
+            "unit": "ms per call",
+            "rounds": ROUNDS,
+            "repeats": ENUMERATE_REPEATS,
+            "inputs": _enumerate_layer(),
         },
     }
 

@@ -3,8 +3,8 @@
 All values are exact: rationals are serialized as "p/q" strings (bare "p"
 for integers), never floats.  Exit codes are a stable contract: 0 success,
 2 malformed input, 3 unsupported or oversized group, 4 verification
-failure.  A request builds only the parser of the subcommand it names;
-help and errors read exactly as they do with the full parser.
+failure.  A request that names a subcommand builds only that subcommand's
+own parser; help and errors read exactly as they do with the full parser.
 """
 
 from __future__ import annotations
@@ -447,19 +447,25 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------------------
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The orbichar parser, with only `command`'s subparser when `command`
-    names a subcommand and with all seven otherwise.  Help and errors read
-    exactly as they do with all seven (see `main`)."""
-    parser = argparse.ArgumentParser(
-        prog="orbichar",
-        description="Exact characteristic computations for closed 2-orbifolds.",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+    """The full orbichar parser with all seven subcommands; or, when `command`
+    names one, that subcommand's standalone parser, the one add_parser would
+    build for it (prog "orbichar chi"), for its arguments after the name."""
+    parser = sub = None
+    if command is None:
+        parser = argparse.ArgumentParser(
+            prog="orbichar",
+            description="Exact characteristic computations for closed 2-orbifolds.",
+        )
+        sub = parser.add_subparsers(dest="command", required=True)
     # Integer options have no type=: each subcommand reads them with
     # parse_int, so a malformed one exits 2 with one error line.
 
     def subparser(name: str, help_text: str) -> argparse.ArgumentParser | None:
-        return sub.add_parser(name, help=help_text) if command in (None, name) else None
+        nonlocal parser
+        if sub is None and name == command:  # the prog that add_parser gives it
+            parser = argparse.ArgumentParser(prog=f"orbichar {name}")
+            return parser
+        return None if sub is None else sub.add_parser(name, help=help_text)
 
     if chi := subparser("chi", "characteristic values of a signature"):
         chi.add_argument("--sig", required=True, help="signature: file, JSON, or Sigma_g(m1,m2,...)")
@@ -505,12 +511,14 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         verify.set_defaults(func=cmd_verify)
 
     # a word that names no subcommand (-h, --, a typo) gets the full parser
-    return parser if sub.choices else build_parser()
+    return build_parser() if parser is None else parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    args, extras = build_parser(argv[0] if argv else None).parse_known_args(argv)
+    parser = build_parser(argv[0] if argv else None)
+    # a subcommand's own parser reads the arguments after its name
+    args, extras = parser.parse_known_args(argv if parser.prog == "orbichar" else argv[1:])
     if extras:  # the full parser's error, whose usage lists every subcommand
         args = build_parser().parse_args(argv)
     try:

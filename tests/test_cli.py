@@ -1,5 +1,6 @@
 """End-to-end command-line behavior: output formats and exit codes."""
 
+import argparse
 import hashlib
 import json
 import subprocess
@@ -1020,6 +1021,17 @@ PARSER_PROBES = [
     ["chi", "--sig", "Sigma_0(5,5,10)", "--l", "0", "-h"],
     ("chi", "--sig", "Sigma_0(5,5,10)", "--l", "0"),
     ("enumerate", "--chi-es", "1/6", "extra"),
+    # argvs that a subcommand's standalone parser reads on its own
+    ["enumerate", "--", "--chi-es", "1/6"],
+    ["verify-paper", "--", "sameLESC"],
+    ["chi", "--s", "x"],  # an ambiguous prefix
+    ["chi", "--sig", "Sigma_0(2,3)", "--sig", "Sigma_0(5,5,10)"],  # a repeated option
+    ["construct", "--L", "-h"],
+    ["enumerate", "--chi-es", "-1/2"],  # values that start with -
+    ["reconstruct", "--seq", "-1/2,2"],
+    ["verify-paper"],
+    ["chi", "-h", "--bogus"],
+    ["chi", "-"],
 ]
 
 
@@ -1044,24 +1056,35 @@ def test_per_command_parser_matches_full_parser(capsys, monkeypatch, argv):
     assert _in_process(capsys, main, argv) == _in_process(capsys, _full_parser_main, argv)
 
 
+@pytest.mark.parametrize("columns", ["40", "200"])
+@pytest.mark.parametrize("argv", PARSER_PROBES, ids=repr)
+def test_per_command_parser_matches_full_parser_at_any_width(capsys, monkeypatch, argv, columns):
+    monkeypatch.setenv("COLUMNS", columns)  # wrapped usage, and usage on one line
+    assert _in_process(capsys, main, argv) == _in_process(capsys, _full_parser_main, argv)
+
+
 def test_build_parser_lists_the_subcommands_it_holds():
     every = "{" + ",".join(COMMANDS) + "}"
     assert every in cli.build_parser().format_usage()
     assert every in cli.build_parser("bogus").format_usage()
-    assert "{chi}" in cli.build_parser("chi").format_usage()
+    assert cli.build_parser("chi").format_usage().startswith("usage: orbichar chi [-h] --sig SIG")
 
 
 def test_a_request_builds_only_its_subcommands_parser(run, monkeypatch):
     built = []
-    build_parser = cli.build_parser
+    init = argparse.ArgumentParser.__init__
 
-    def spy(command=None):
-        built.append(command)
-        return build_parser(command)
+    def spy(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
 
-    monkeypatch.setattr(cli, "build_parser", spy)
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
     assert run("chi", "--sig", "Sigma_0(5,5,10)", "--l", "0") == (0, "-1/2\n", "")
-    assert built == ["chi"]
+    assert built == ["orbichar chi"]
+    built.clear()
+    with pytest.raises(SystemExit):  # a word that names no subcommand
+        main(["chi2"])
+    assert built == ["orbichar", *(f"orbichar {command}" for command in COMMANDS)]
 
 
 def test_main_in_one_process_matches_fresh_runs(tmp_path, capsys, monkeypatch):
@@ -1088,6 +1111,9 @@ def test_main_in_one_process_matches_fresh_runs(tmp_path, capsys, monkeypatch):
         ["enumerate", "--chi-es=1/6", "extra"],  # extras: the full parser's error
         ["chi", "--sig", "Sigma_0(2,3)", "--gamma", "Z", "--l", "2"],  # exclusive options
         construct,
+        ["chi", "--s", "x"],  # argparse: an ambiguous prefix
+        ["enumerate", "--", "--chi-es", "1/6"],
+        ["verify-paper", "nonorientable"],
     ]
     for argv in requests:
         try:
