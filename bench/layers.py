@@ -148,8 +148,8 @@ CLI_REQUESTS = (
     ("main verify-paper nonorientable", ["verify-paper", "nonorientable"], NUMBER),
 )
 CLI_REPEATS = 5
-# (target, calls per timing): -3/2 takes about 0.4 ms a call, the huge prime
-# denominator 0.3 ms and -12/5 about 30 ms, so each input times 12-30 ms
+# (target, calls per timing): -3/2 takes about 0.3 ms a call, the huge prime
+# denominator 0.2 ms and -12/5 about 20 ms, so each input times 8-20 ms
 ENUMERATIONS = (("-3/2", 40), ("1/1000000000000000003", 40), ("-12/5", 1))
 ENUMERATE_REPEATS = 5
 
