@@ -3,8 +3,10 @@
 All values are exact: rationals are serialized as "p/q" strings (bare "p"
 for integers), never floats.  Exit codes are a stable contract: 0 success,
 2 malformed input, 3 unsupported or oversized group, 4 verification
-failure.  A request that names a subcommand builds only that subcommand's
-own parser; help and errors read exactly as they do with the full parser.
+failure.  A request that names a subcommand parses with only that
+subcommand's own parser; help and errors read exactly as they do with the
+full parser.  Each parser is built once and kept for the process, since
+building one cost more than a small request's mathematics.
 """
 
 from __future__ import annotations
@@ -446,6 +448,7 @@ def cmd_verify(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
+@cache
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The full orbichar parser with all seven subcommands; or, when `command`
     names one, that subcommand's standalone parser, the one add_parser would
@@ -514,9 +517,13 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     return build_parser() if parser is None else parser
 
 
+_COMMANDS = frozenset(("chi", "construct", "reconstruct", "enumerate", "search", "quotient", "verify-paper"))
+
+
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
+    # only the seven names key the cache beside the full parser: no argv grows it
+    parser = build_parser(argv[0]) if argv and argv[0] in _COMMANDS else build_parser()
     # a subcommand's own parser reads the arguments after its name
     args, extras = parser.parse_known_args(argv if parser.prog == "orbichar" else argv[1:])
     if extras:  # the full parser's error, whose usage lists every subcommand

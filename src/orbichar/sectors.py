@@ -29,6 +29,7 @@ from itertools import product
 from math import gcd, lcm, prod
 from operator import and_
 
+from .classify import _factorize
 from .core import (
     FgAbelian,
     FreeGroup,
@@ -419,6 +420,7 @@ def _subgroup_joins(group: FiniteGroup):
     (subgroup, element) joins: each is closed once, over a generating tuple
     kept for its subgroup, and equal subgroups share one frozenset."""
     table, identity = group.table, group.identity
+    odd_primes = _factorize(group.order).keys() - {2}  # a prime index divides |G|
     trivial = frozenset((identity,))
     spans = {trivial: (trivial, ())}  # subgroup -> (its shared set, a generating tuple)
     joins: dict[tuple[frozenset[int], int], frozenset[int]] = {}
@@ -430,8 +432,11 @@ def _subgroup_joins(group: FiniteGroup):
                 span = spans[subgroup][1] + (x,)
                 closure = frozenset(_right_closure(table, identity, span))
                 joined = spans.setdefault(closure, (closure, span))[0]
-                for xh in map(table[x].__getitem__, subgroup):  # <H, xh> = <H, x> for h in H
-                    joins[subgroup, xh] = joined
+                # <H, xh> = <H, x> for h in H; at a prime index p > 2 no subgroup lies
+                # strictly between (Lagrange): <H, y> = <H, x> for all y in <H, x> - H
+                prime = len(joined) // len(subgroup) in odd_primes
+                for y in joined - subgroup if prime else map(table[x].__getitem__, subgroup):
+                    joins[subgroup, y] = joined
             subgroup = joins[subgroup, x]
         return subgroup
 

@@ -1,6 +1,7 @@
 """End-to-end command-line behavior: output formats and exit codes."""
 
 import argparse
+import gc
 import hashlib
 import json
 import subprocess
@@ -1071,6 +1072,7 @@ def test_build_parser_lists_the_subcommands_it_holds():
 
 
 def test_a_request_builds_only_its_subcommands_parser(run, monkeypatch):
+    cli.build_parser.cache_clear()  # parsers are kept for the process
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -1082,9 +1084,61 @@ def test_a_request_builds_only_its_subcommands_parser(run, monkeypatch):
     assert run("chi", "--sig", "Sigma_0(5,5,10)", "--l", "0") == (0, "-1/2\n", "")
     assert built == ["orbichar chi"]
     built.clear()
-    with pytest.raises(SystemExit):  # a word that names no subcommand
-        main(["chi2"])
+    assert run("chi", "--sig", "Sigma_0(5,5,10)", "--l", "0") == (0, "-1/2\n", "")
+    assert built == []  # the second request reuses the kept parser
+    for _ in range(2):
+        with pytest.raises(SystemExit):  # a word that names no subcommand
+            main(["chi2"])
     assert built == ["orbichar", *(f"orbichar {command}" for command in COMMANDS)]
+
+
+def test_no_argv_grows_the_parser_cache(capsys):
+    cli.build_parser.cache_clear()
+    words = ["-h", "--", "-x", "bogus", "enum", "chi2", *(f"word{i}" for i in range(20)), *COMMANDS]
+    for word in words:
+        try:
+            main([word, "--chi-es", "1/6", "extra"])
+        except SystemExit:
+            pass
+    capsys.readouterr()
+    # the seven names and the full parser, one entry each, whatever the words
+    assert cli.build_parser.cache_info().currsize == 8
+
+
+def test_a_kept_parser_wraps_help_to_the_width_when_printed(monkeypatch):
+    cli.build_parser.cache_clear()
+    monkeypatch.setenv("COLUMNS", "200")
+    parser = cli.build_parser("construct")
+    assert len(parser.format_usage().splitlines()) == 1
+    monkeypatch.setenv("COLUMNS", "40")
+    narrow = cli.build_parser("construct")
+    assert narrow is parser
+    fresh = cli.build_parser.__wrapped__("construct")  # built at 40 columns
+    assert narrow.format_usage() == fresh.format_usage()
+    assert narrow.format_help() == fresh.format_help()
+    assert len(narrow.format_usage().splitlines()) > 1
+
+
+@pytest.mark.parametrize("command", ["chi", "reconstruct", "quotient", "enumerate", "construct", "verify-paper"])
+def test_a_warm_request_leaves_no_cyclic_garbage(run, tmp_path, command):
+    fpc = tmp_path / "fpc.json"
+    fpc.write_text(_all_subgroups_fpc("C6"))
+    argv = {
+        "chi": ["chi", "--sig", "Sigma_0(5,5,10)", "--l", "0"],
+        "reconstruct": ["reconstruct", "--seq=-1/2,2,19,149,1249,11249"],
+        "quotient": ["quotient", "--group", "C6", f"--fpc={fpc}", "--gamma", "Z^2"],
+        "enumerate": ["enumerate", "--chi-es=-1/2"],
+        "construct": ["construct", "--L", "4", "--g", "1", "--orders", "5,6,7,8", "--N", "3"],
+        "verify-paper": ["verify-paper", "nonorientable"],
+    }[command]
+    assert run(*argv)[0] == 0  # the parser is built and kept
+    gc.collect()
+    gc.disable()  # no collection may run, and hide garbage, during the request
+    try:
+        assert run(*argv)[0] == 0
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_main_in_one_process_matches_fresh_runs(tmp_path, capsys, monkeypatch):
@@ -1115,13 +1169,28 @@ def test_main_in_one_process_matches_fresh_runs(tmp_path, capsys, monkeypatch):
         ["enumerate", "--", "--chi-es", "1/6"],
         ["verify-paper", "nonorientable"],
     ]
+    # every subcommand once more, after its own help and an argparse error:
+    # a kept parser must read each request as a fresh one does
+    for argv in (
+        ["chi", "--sig", "Sigma_1(2)", "--seq-len", "3"],
+        construct,
+        ["reconstruct", "--seq=-1/2,2,19,149,1249,11249"],
+        ["enumerate", "--chi-es=-1/2"],
+        ["search", "--g-max", "1", "--k-max", "2", "--m-max", "6", "--L", "1"],
+        ["quotient", "--group", "C6", f"--fpc={fpc}", "--gamma", "Z^2"],
+        ["verify-paper", "sameLESC"],
+    ):
+        requests += [[argv[0], "-h"], [argv[0], "--bogus"], argv]
+    fresh_runs = {}
     for argv in requests:
         try:
             code = main(argv)
         except SystemExit as exc:
             code = exc.code
         out, err = capsys.readouterr()
-        fresh = subprocess.run(
-            [sys.executable, "-m", "orbichar", *argv], capture_output=True, text=True, timeout=60
-        )
+        if tuple(argv) not in fresh_runs:  # a repeated request is run fresh once
+            fresh_runs[tuple(argv)] = subprocess.run(
+                [sys.executable, "-m", "orbichar", *argv], capture_output=True, text=True, timeout=60
+            )
+        fresh = fresh_runs[tuple(argv)]
         assert (code, out, err) == (fresh.returncode, fresh.stdout, fresh.stderr), argv

@@ -41,6 +41,7 @@ from orbichar import (
 )
 from orbichar.cli import _parse_json
 from orbichar.core import GammaSupportError, parse_word
+from orbichar.sectors import _subgroup_joins
 
 BATTERY = (
     FgAbelian(0),
@@ -523,6 +524,18 @@ def test_classes_share_equal_images():
     finally:
         tracemalloc.stop()
     assert peak < 3 * 2**20
+
+
+@pytest.mark.parametrize("name", ["D26", "D34", "D38", "C3xD8", "D12xC3"])
+def test_subgroup_joins_match_closure(name):
+    # groups with prime-index steps, where one closure fills every element
+    # of <H, x> outside H; hom_classes shares _subgroup_joins, so the oracle
+    # is the table closure of each hom
+    group = group_by_name(name)
+    for gamma in (FreeGroup(2), FgAbelian(2)):
+        generated = _subgroup_joins(group)  # one memo across the homs, as the sums use it
+        for hom in enumerate_homs(gamma, group):
+            assert generated(hom) == group.subgroup_closure(hom), hom
 
 
 def brute_force_classes(homs, group):
