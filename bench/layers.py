@@ -18,12 +18,19 @@ Layers so far:
 
 - `group_by_name` on C60, D40, D12xC3 and C6xC6, each output written with
   `FiniteGroup.to_json()`;
-- `chi_gamma_quotient` on D38 F_2, D34 F_2, D40 Z^3, D12xC3 Z+Z/2, C200
-  Z^2 and C1000 Z^2, and on C1000 Z^2 with the whole group's value left
-  out (the walk that names the missing subgroup). The fixed-point data, built
-  before timing, gives every subgroup that a hom reaches chi = |H| mod 5
-  - 2, which is conjugation-invariant; the output is the value as "p/q"
-  or the error text;
+- `chi_gamma_quotient` on D38 F_2, D34 F_2, D40 F_2, D36 F_2, D20 F_3,
+  D40 Z^3, D12xC3 Z+Z/2, C200 Z^2 and C1000 Z^2, and on C1000 Z^2 with
+  the whole group's value left out (the walk that names the missing
+  subgroup). The fixed-point data, built before timing, gives every
+  subgroup that a hom reaches chi = |H| mod 5 - 2, which is
+  conjugation-invariant; the output is the value as "p/q" or the error
+  text;
+- `core`: `chi_gamma` on the orientable double that both mirrored
+  cylinders of `verify-paper nonorientable` share (genus 1, cones 3, 5, 7
+  and 11), and on the first member of the lcm L=7 pair of the
+  `build_collision_pair` layer, each over the seven Γ of that check
+  (trivial, Z, Z^2, Z^3, Z/2, Z/3, Z+Z/2); the output is the values as
+  "p/q";
 - `build_collision_pair` plus `expand_family` on four pinned `construct`
   inputs of perfbench: an lcm L=7 pair, an lcm L=7 family of 5, an lcm L=5
   pair and a product L=5 pair; the output is the family, each member
@@ -88,6 +95,7 @@ from orbichar import (  # noqa: E402
     OrbifoldSignature,
     build_collision_pair,
     char_sequence,
+    chi_gamma,
     chi_gamma_quotient,
     enumerate_homs,
     expand_family,
@@ -107,6 +115,9 @@ GROUP_NAMES = ("C60", "D40", "D12xC3", "C6xC6")
 QUOTIENTS = (
     ("D38", "F_2", FreeGroup(2), False, 2),
     ("D34", "F_2", FreeGroup(2), False, 2),
+    ("D40", "F_2", FreeGroup(2), False, 2),
+    ("D36", "F_2", FreeGroup(2), False, 2),
+    ("D20", "F_3", FreeGroup(3), False, 2),
     ("D40", "Z^3", FgAbelian(3), False, 2),
     ("D12xC3", "Z+Z/2", FgAbelian(1, (2,)), False, 20),
     ("C200", "Z^2", FgAbelian(2), False, 100),
@@ -114,6 +125,12 @@ QUOTIENTS = (
     ("C1000", "Z^2", FgAbelian(2), True, 20),
 )
 QUOTIENT_REPEATS = 5
+# (input name, calls per timing) of the core layer: a call is chi_gamma over
+# the seven Γ of verify-paper nonorientable, about 0.05 ms on the double and
+# 1.7 ms on the L=7 member, so each input times about 10-20 ms
+CHI_GAMMA_SPECS = ("trivial", "Z", "Z^2", "Z^3", "Z/2", "Z/3", "Z+Z/2")
+CHI_INPUTS = (("nonorientable double", 200), ("lcm L=7 member", 10))
+CORE_REPEATS = 5
 # (name, level, genus, seeds, equalize, family size or None for the pair,
 # calls per timing, calls per timing of the scaled path): the lcm L=7 pair
 # takes 3.4-8 ms a call (scaled 1.7-2 ms), the lcm L=7 family of 5 12-25 ms
@@ -226,6 +243,22 @@ def sequence_sets() -> dict[str, list[list]]:
     }
 
 
+def _core_layer() -> dict:
+    gammas = [cli.parse_gamma_spec(spec) for spec in CHI_GAMMA_SPECS]
+    _, level, genus, seeds, equalize, *_ = COLLISIONS[0]  # the lcm L=7 pair
+    signatures = {
+        "nonorientable double": OrbifoldSignature.from_orders(1, 3, 5, 7, 11),
+        "lcm L=7 member": _family(level, genus, [int(s) for s in seeds.split(",")], equalize, None)[0],
+    }
+    inputs = {}
+    for name, number in CHI_INPUTS:
+        call = lambda sig=signatures[name]: [chi_gamma(sig, gamma) for gamma in gammas]
+        entry = time_call(call, CORE_REPEATS, number)
+        entry["number"], entry["sha256"] = number, _digest(list(map(format_rational, call())))
+        inputs[name] = entry
+    return inputs
+
+
 def _reconstructed(values) -> dict:
     result = reconstruct(values)
     if isinstance(result, InsufficientData):
@@ -255,7 +288,7 @@ def _main(argv, stdout) -> int:
 
 def _cli_layer() -> dict:
     inputs = {}
-    build = cli.build_parser.__wrapped__  # a build each call, not the kept parser
+    build = cli._parser.__wrapped__  # a build each call, not the kept parser
     with mock.patch.dict(os.environ, COLUMNS="80"):  # argparse wraps help to the width
         for name, command in (("build_parser()", None), ("build_parser(chi)", "chi")):
             entry = time_call(lambda command=command: build(command), CLI_REPEATS)
@@ -336,6 +369,12 @@ def measure() -> dict:
             "rounds": ROUNDS,
             "repeats": QUOTIENT_REPEATS,
             "inputs": quotients,
+        },
+        "core": {
+            "unit": "ms per call",
+            "rounds": ROUNDS,
+            "repeats": CORE_REPEATS,
+            "inputs": _core_layer(),
         },
         "build_collision_pair": {
             "unit": "ms per call",

@@ -448,11 +448,20 @@ def cmd_verify(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-@cache
+_COMMANDS = frozenset(("chi", "construct", "reconstruct", "enumerate", "search", "quotient", "verify-paper"))
+
+
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The full orbichar parser with all seven subcommands; or, when `command`
     names one, that subcommand's standalone parser, the one add_parser would
-    build for it (prog "orbichar chi"), for its arguments after the name."""
+    build for it (prog "orbichar chi").  Any other word (None, -h, a typo)
+    gets the full parser; the eight are each built once, for the process."""
+    return _parser(command if command in _COMMANDS else None)
+
+
+@cache
+def _parser(command: str | None) -> argparse.ArgumentParser:
+    """build_parser(command), for a subcommand name or None."""
     parser = sub = None
     if command is None:
         parser = argparse.ArgumentParser(
@@ -513,17 +522,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         verify.add_argument("example", choices=sorted(_SCENARIOS))
         verify.set_defaults(func=cmd_verify)
 
-    # a word that names no subcommand (-h, --, a typo) gets the full parser
-    return build_parser() if parser is None else parser
-
-
-_COMMANDS = frozenset(("chi", "construct", "reconstruct", "enumerate", "search", "quotient", "verify-paper"))
+    return parser
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    # only the seven names key the cache beside the full parser: no argv grows it
-    parser = build_parser(argv[0]) if argv and argv[0] in _COMMANDS else build_parser()
+    parser = build_parser(argv[0] if argv else None)
     # a subcommand's own parser reads the arguments after its name
     args, extras = parser.parse_known_args(argv if parser.prog == "orbichar" else argv[1:])
     if extras:  # the full parser's error, whose usage lists every subcommand

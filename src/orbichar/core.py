@@ -410,10 +410,10 @@ def chi_gamma(sig: OrbifoldSignature, gamma: GammaDescriptor) -> Fraction:
     all isotropy here is cyclic, only the abelianization of gamma matters.
     """
     ab = abelianize(gamma)
-    total = Fraction(2 - 2 * sig.genus - sig.cone_count)
-    for order, count in sig.cones:
-        total += count * Fraction(hom_count_cyclic(ab, order), order)
-    return total
+    # One common denominator, as in power_sum: a Fraction sum would reduce after every term.
+    den = lcm(*(order for order, _ in sig.cones))
+    total = sum(count * hom_count_cyclic(ab, order) * (den // order) for order, count in sig.cones)
+    return Fraction((2 - 2 * sig.genus - sig.cone_count) * den + total, den)
 
 
 def chi_gamma_times_manifold(

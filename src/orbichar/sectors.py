@@ -7,13 +7,14 @@ centralizer order.  Manifolds are never represented here: a
 FixedPointCharacter records the fixed-set Euler characteristic per
 subgroup, which is all the sector sum needs.
 
-`hom_classes` and the listing path of `chi_gamma_quotient`, which every
-non-cyclic group takes, enumerate homomorphisms and so are an independent
-oracle for the closed-form characteristics in `core`; the listing path
-sums over the homs once, as orbit-stabilizer allows.  A cyclic group is
-summed by counting homs per image with `core.hom_count_cyclic` instead;
-the count names a missing subgroup itself.  The test suite compares both
-paths with class sums from `hom_classes`.
+`hom_classes` and the listing path of `chi_gamma_quotient`, which a
+presented gamma takes on a non-cyclic group, enumerate homomorphisms and
+so are an independent oracle for the closed-form characteristics in
+`core`; the listing path sums over the homs once, as orbit-stabilizer
+allows.  Free and free abelian gamma, and every gamma on a cyclic group,
+count the homs per image without listing them and name a missing
+subgroup as listing would.  The test suite compares every path with
+class sums from `hom_classes`.
 Mirrored cylinders use the closed form of their orientable double; their
 dihedral class sums are a test oracle.
 """
@@ -416,31 +417,61 @@ def hom_classes(
 
 
 def _subgroup_joins(group: FiniteGroup):
-    """The subgroup generated by a tuple of elements, as a fold of memoized
-    (subgroup, element) joins: each is closed once, over a generating tuple
-    kept for its subgroup, and equal subgroups share one frozenset."""
+    """The subgroup generated by a tuple of elements, a fold of `join(H, x)`:
+    each join is closed once, over H's generating tuple in `spans` plus x,
+    and memoized; equal subgroups share one frozenset."""
     table, identity = group.table, group.identity
     odd_primes = _factorize(group.order).keys() - {2}  # a prime index divides |G|
     trivial = frozenset((identity,))
     spans = {trivial: (trivial, ())}  # subgroup -> (its shared set, a generating tuple)
     joins: dict[tuple[frozenset[int], int], frozenset[int]] = {}
 
-    def generated(elements) -> frozenset[int]:
-        subgroup = trivial
-        for x in elements:
-            if (subgroup, x) not in joins:
-                span = spans[subgroup][1] + (x,)
-                closure = frozenset(_right_closure(table, identity, span))
-                joined = spans.setdefault(closure, (closure, span))[0]
-                # <H, xh> = <H, x> for h in H; at a prime index p > 2 no subgroup lies
-                # strictly between (Lagrange): <H, y> = <H, x> for all y in <H, x> - H
-                prime = len(joined) // len(subgroup) in odd_primes
-                for y in joined - subgroup if prime else map(table[x].__getitem__, subgroup):
-                    joins[subgroup, y] = joined
-            subgroup = joins[subgroup, x]
-        return subgroup
+    def join(subgroup: frozenset[int], x: int) -> frozenset[int]:
+        joined = joins.get((subgroup, x))
+        if joined is None:
+            span = spans[subgroup][1] + (x,)
+            closure = frozenset(_right_closure(table, identity, span))
+            joined = spans.setdefault(closure, (closure, span))[0]
+            # <H, xh> = <H, x> for h in H; at a prime index p > 2 no subgroup lies
+            # strictly between (Lagrange): <H, y> = <H, x> for all y in <H, x> - H
+            prime = len(joined) // len(subgroup) in odd_primes
+            for y in joined - subgroup if prime else map(table[x].__getitem__, subgroup):
+                joins[subgroup, y] = joined
+        return joined
 
+    def generated(elements) -> frozenset[int]:
+        return reduce(join, elements, trivial)
+
+    generated.join, generated.spans = join, spans
     return generated
+
+
+def _image_counts(gamma: GammaDescriptor, group: FiniteGroup, n_gens: int, generated) -> dict:
+    """The number of homs per exact image for free and free abelian gamma,
+    without listing them: for each subgroup H, the prefixes of generator
+    images that generate H, extended one generator at a time, each
+    candidate x adding their number to <H, x>; an abelian gamma's x lie in
+    C(H), the centralizer of H.  H alone decides which x follow and what
+    <H, x> is, so images come in the order listing first meets them."""
+    join, spans = generated.join, generated.spans
+    if isinstance(gamma, FgAbelian) and n_gens > 1:  # C(trivial) is G: one image needs none
+        centralizer = cache(partial(_centralizer, group.table))
+        commons = cache(lambda H: reduce(and_, map(centralizer, spans[H][1]), (1 << group.order) - 1))
+
+        def within(among, subgroup: frozenset[int]) -> list[int]:
+            common = commons(subgroup)
+            return [x for x in among if common >> x & 1]
+    else:
+        within = lambda among, subgroup: among
+    states = {generated(()): 1}
+    for among in _image_options(gamma, group, n_gens):
+        counts: dict[frozenset[int], int] = {}
+        for subgroup, count in states.items():
+            for x in within(among, subgroup):
+                joined = join(subgroup, x)
+                counts[joined] = counts.get(joined, 0) + count
+        states = counts
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -518,20 +549,25 @@ def chi_gamma_quotient(
     """Characteristic of the sectors of a finite quotient: the average over
     all homomorphisms of chi(fixed set of the image).
 
-    The budget is checked first and refuses the same inputs on both paths.
+    The budget is checked first and refuses the same inputs on every path.
     A cyclic G lists no homs: _sum_by_counting counts them and names a
-    missing subgroup itself.  Every other G lists the homs once and counts
-    their images, folds of memoized subgroup joins, and names the first
-    image without data in listing order.  Data that gives an image and its
-    conjugate by a generator two values is refused; images are closed under
-    conjugation, so this covers every conjugate.  By orbit-stabilizer the
-    average is the sum over hom classes of chi(fixed set) / centralizer order.
+    missing subgroup itself.  On other G, _image_counts counts the homs of
+    a free or free abelian gamma per image, and a presented one's are
+    listed once; either names the first image without data in listing
+    order.  Data that gives an image and its conjugate by a generator two
+    values is refused; images are closed under conjugation, so this covers
+    every conjugate.  By orbit-stabilizer the average is the sum over hom
+    classes of chi(fixed set) / centralizer order.
     """
     n_gens, budget = _check_hom_budget(gamma, group, budget)  # resolved once, passed on
     generator = _cyclic_generator(group)
     if generator is not None:
         return _sum_by_counting(group, fixed, gamma, generator, n_gens)
-    counts = Counter(map(_subgroup_joins(group), enumerate_homs(gamma, group, budget)))
+    generated = _subgroup_joins(group)
+    if isinstance(gamma, Presented):
+        counts = Counter(map(generated, enumerate_homs(gamma, group, budget)))
+    else:
+        counts = _image_counts(gamma, group, n_gens, generated)
     chis = {image: fixed.chi(image) for image in counts}
     for image, chi in chis.items():
         for g in group.generators:

@@ -1072,7 +1072,7 @@ def test_build_parser_lists_the_subcommands_it_holds():
 
 
 def test_a_request_builds_only_its_subcommands_parser(run, monkeypatch):
-    cli.build_parser.cache_clear()  # parsers are kept for the process
+    cli._parser.cache_clear()  # parsers are kept for the process
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -1093,7 +1093,7 @@ def test_a_request_builds_only_its_subcommands_parser(run, monkeypatch):
 
 
 def test_no_argv_grows_the_parser_cache(capsys):
-    cli.build_parser.cache_clear()
+    cli._parser.cache_clear()
     words = ["-h", "--", "-x", "bogus", "enum", "chi2", *(f"word{i}" for i in range(20)), *COMMANDS]
     for word in words:
         try:
@@ -1102,18 +1102,29 @@ def test_no_argv_grows_the_parser_cache(capsys):
             pass
     capsys.readouterr()
     # the seven names and the full parser, one entry each, whatever the words
-    assert cli.build_parser.cache_info().currsize == 8
+    assert cli._parser.cache_info().currsize == 8
+
+
+def test_build_parser_keeps_at_most_eight_parsers():
+    cli._parser.cache_clear()
+    full = cli.build_parser()
+    words = [None, "", "-h", "--", "bogus", "chi2", "CHI", *(f"word{i}" for i in range(20))]
+    for word in words:  # a word that names no subcommand gets the one full parser
+        assert cli.build_parser(word) is full, word
+    for command in COMMANDS:
+        assert cli.build_parser(command) is cli.build_parser(command) is not full
+    assert cli._parser.cache_info().currsize == 8
 
 
 def test_a_kept_parser_wraps_help_to_the_width_when_printed(monkeypatch):
-    cli.build_parser.cache_clear()
+    cli._parser.cache_clear()
     monkeypatch.setenv("COLUMNS", "200")
     parser = cli.build_parser("construct")
     assert len(parser.format_usage().splitlines()) == 1
     monkeypatch.setenv("COLUMNS", "40")
     narrow = cli.build_parser("construct")
     assert narrow is parser
-    fresh = cli.build_parser.__wrapped__("construct")  # built at 40 columns
+    fresh = cli._parser.__wrapped__("construct")  # built at 40 columns
     assert narrow.format_usage() == fresh.format_usage()
     assert narrow.format_help() == fresh.format_help()
     assert len(narrow.format_usage().splitlines()) > 1

@@ -109,6 +109,21 @@ def test_power_sum_matches_term_by_term_sum(signature, exponent):
     assert power_sum(signature, exponent) == naive
 
 
+@given(
+    st.builds(
+        OrbifoldSignature,
+        st.integers(0, 5),
+        st.dictionaries(st.integers(2, 60), st.integers(1, 10**40), max_size=5),
+    ),
+    st.builds(FgAbelian, st.integers(0, 4), st.lists(st.integers(2, 12), max_size=3).map(tuple)),
+)
+def test_chi_gamma_matches_term_by_term_sum(signature, gamma):
+    naive = Fraction(2 - 2 * signature.genus - signature.cone_count)
+    for order, count in signature.cones:
+        naive += count * Fraction(hom_count_cyclic(gamma, order), order)
+    assert chi_gamma(signature, gamma) == naive
+
+
 @given(signatures, st.integers(1, 8))
 def test_chi_level_is_integral_for_positive_levels(signature, level):
     value = chi_level(signature, level)

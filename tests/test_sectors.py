@@ -6,6 +6,7 @@ import random
 import re
 import time
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import combinations_with_replacement, product
@@ -41,7 +42,7 @@ from orbichar import (
 )
 from orbichar.cli import _parse_json
 from orbichar.core import GammaSupportError, parse_word
-from orbichar.sectors import _subgroup_joins
+from orbichar.sectors import _check_hom_budget, _image_counts, _subgroup_joins
 
 BATTERY = (
     FgAbelian(0),
@@ -815,17 +816,77 @@ def test_cyclic_sum_by_counting_matches_class_sum(monkeypatch):
         _relabelled(group_by_name("C2xD6"), 4),
     ],
 )
-def test_noncyclic_sum_matches_class_sum(group):
-    # the listing path sums over homs once; the class sum is its oracle
+def test_noncyclic_sum_matches_class_sum(group, monkeypatch):
+    # free and free abelian gamma count homs per image, a presented one
+    # lists them and sums over them once; the class sum is their oracle
     rng = random.Random(group.order)
-    images = {cls.image for gamma in COUNTING_BATTERY for cls in hom_classes(gamma, group)}
+    gammas = COUNTING_BATTERY + (FreeGroup(3),)
+    images = {cls.image for gamma in gammas for cls in hom_classes(gamma, group)}
     chars = {}
     for image in images:
         if image not in chars:  # one value per conjugacy class of subgroups
             chars |= dict.fromkeys(_conjugates(group, image), rng.randrange(-6, 7))
     fixed = FixedPointCharacter(chars)
-    for gamma in COUNTING_BATTERY:
-        assert chi_gamma_quotient(group, fixed, gamma) == _by_hom_classes(group, chars, gamma), gamma
+    for gamma in gammas:
+        expected = _by_hom_classes(group, chars, gamma)
+        with monkeypatch.context() as patch:
+            if not isinstance(gamma, Presented):  # the counts list no homs
+                patch.setattr("orbichar.sectors.enumerate_homs", None)
+            assert chi_gamma_quotient(group, fixed, gamma) == expected, gamma
+
+
+COUNTED_GAMMAS = tuple(g for g in COUNTING_BATTERY if not isinstance(g, Presented)) + (FreeGroup(3),)
+
+
+@pytest.mark.parametrize("name", ["D6", "D8", "D36", "D40", "C2xD6", "C6xC6", "D12xC3"])
+def test_image_counts_match_listed_homs(name):
+    group = group_by_name(name)
+    for gamma in COUNTED_GAMMAS:
+        n_gens, _ = _check_hom_budget(gamma, group, None)
+        counted = _image_counts(gamma, group, n_gens, _subgroup_joins(group))
+        assert counted == Counter(map(_subgroup_joins(group), enumerate_homs(gamma, group))), gamma
+
+
+def _listing_refusal(group, chars, gamma) -> tuple[type, str] | None:
+    """The refusal of the listing path: the first hom image without data in
+    listing order, else the first image, in the order first seen, whose
+    conjugate by a generator has another value."""
+    images = list(dict.fromkeys(map(_subgroup_joins(group), enumerate_homs(gamma, group))))
+    for image in images:
+        if image not in chars:
+            return FixedPointDataError, repr(f"no fixed-point value for subgroup {sorted(image)}")
+    for image in images:
+        for g in group.generators:
+            other = frozenset(group.conjugate(g, x) for x in image)
+            if chars[other] != chars[image]:
+                return ValueError, (
+                    f"fixed-point data is not conjugation-invariant: conjugate subgroups "
+                    f"{sorted(image)} and {sorted(other)} have chi {chars[image]} and {chars[other]}"
+                )
+    return None
+
+
+@pytest.mark.parametrize("name", ["D8", "C2xD6", "D12xC3"])
+def test_counted_refusals_match_the_listing_path(name):
+    # one conjugacy class of subgroups without data, or a value per subgroup
+    # that conjugation does not keep: the counts name what listing names
+    group = group_by_name(name)
+    rng = random.Random(name)
+    subgroups = {group.subgroup_closure(pair) for pair in product(range(group.order), repeat=2)}
+    classes = {frozenset(_conjugates(group, subgroup)) for subgroup in subgroups}
+    datasets = [{subgroup: 2 for subgroup in subgroups - missing} for missing in classes]
+    datasets += [{subgroup: rng.randrange(-2, 3) for subgroup in subgroups} for _ in range(4)]
+    for gamma in (FreeGroup(2), FgAbelian(2), FgAbelian(1, (2,))):
+        refused = 0
+        for chars in datasets:
+            expected = _listing_refusal(group, chars, gamma)
+            if expected is None:
+                continue
+            refused += 1
+            with pytest.raises(expected[0]) as err:
+                chi_gamma_quotient(group, FixedPointCharacter(chars), gamma)
+            assert str(err.value) == expected[1], gamma
+        assert refused >= 5, gamma
 
 
 def test_cyclic_sum_by_counting_needs_only_the_images(monkeypatch):
