@@ -49,10 +49,9 @@ Layers so far:
 - `minimal_recurrence` on the level differences of the same three sets,
   which is what `reconstruct` passes it; a call fits the whole set, and the
   output is each set's coefficients as "p/q" strings and depth;
-- `cli`: building `build_parser()` with every subcommand and
-  `build_parser("chi")`, the standalone `orbichar chi` parser that a `chi`
-  request uses, past the cache that keeps each parser for the process, each
-  output its help text at 80 columns; and `cli.main` in process with
+- `cli`: building the parser tree that `build_parser()` returns, past the
+  cache that keeps it for the process, the output its full help text at 80
+  columns; and `cli.main` in process with
   stdout sent to a sink, on eight requests like perfbench's: `chi`,
   `reconstruct`, `enumerate`, a C6 `quotient` whose fixed-point file is
   written before timing, `construct` on the pinned lcm L=7 `--N 5` input
@@ -288,13 +287,11 @@ def _main(argv, stdout) -> int:
 
 def _cli_layer() -> dict:
     inputs = {}
-    build = cli._parser.__wrapped__  # a build each call, not the kept parser
     with mock.patch.dict(os.environ, COLUMNS="80"):  # argparse wraps help to the width
-        for name, command in (("build_parser()", None), ("build_parser(chi)", "chi")):
-            entry = time_call(lambda command=command: build(command), CLI_REPEATS)
-            entry["number"] = NUMBER
-            entry["sha256"] = _digest(cli.build_parser(command).format_help())
-            inputs[name] = entry
+        entry = time_call(cli._parser_tree.__wrapped__, CLI_REPEATS)  # a build each call
+        entry["number"] = NUMBER
+        entry["sha256"] = _digest(cli.build_parser().format_help())
+        inputs["build_parser()"] = entry
     group = group_by_name("C6")
     reached = _reached("C6", group, FgAbelian(2))
     document = [{"subgroup": sorted(h), "chi": len(h) % 5 - 2} for h in reached]

@@ -3,10 +3,10 @@
 All values are exact: rationals are serialized as "p/q" strings (bare "p"
 for integers), never floats.  Exit codes are a stable contract: 0 success,
 2 malformed input, 3 unsupported or oversized group, 4 verification
-failure.  A request that names a subcommand parses with only that
-subcommand's own parser; help and errors read exactly as they do with the
-full parser.  Each parser is built once and kept for the process, since
-building one cost more than a small request's mathematics.
+failure.  One parser tree, built on the first request, is kept for the
+process: building it cost more than a small request's mathematics.  A
+named subcommand parses with the subparser the full parser holds for it;
+help and errors read exactly as they do with the full parser.
 """
 
 from __future__ import annotations
@@ -448,90 +448,79 @@ def cmd_verify(args) -> int:
 # Argument parsing
 # ---------------------------------------------------------------------------
 
-_COMMANDS = frozenset(("chi", "construct", "reconstruct", "enumerate", "search", "quotient", "verify-paper"))
-
-
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     """The full orbichar parser with all seven subcommands; or, when `command`
-    names one, that subcommand's standalone parser, the one add_parser would
-    build for it (prog "orbichar chi").  Any other word (None, -h, a typo)
-    gets the full parser; the eight are each built once, for the process."""
-    return _parser(command if command in _COMMANDS else None)
+    names one, the subparser that the full parser holds for it (prog
+    "orbichar chi").  Any other word (None, -h, a typo) gets the full parser.
+    The tree is built on the first call and kept for the process."""
+    full, choices = _parser_tree()
+    return choices.get(command, full)
 
 
 @cache
-def _parser(command: str | None) -> argparse.ArgumentParser:
-    """build_parser(command), for a subcommand name or None."""
-    parser = sub = None
-    if command is None:
-        parser = argparse.ArgumentParser(
-            prog="orbichar",
-            description="Exact characteristic computations for closed 2-orbifolds.",
-        )
-        sub = parser.add_subparsers(dest="command", required=True)
+def _parser_tree() -> tuple[argparse.ArgumentParser, dict[str, argparse.ArgumentParser]]:
+    """The full parser and the subparsers it holds, by subcommand name."""
+    parser = argparse.ArgumentParser(
+        prog="orbichar",
+        description="Exact characteristic computations for closed 2-orbifolds.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
     # Integer options have no type=: each subcommand reads them with
     # parse_int, so a malformed one exits 2 with one error line.
 
-    def subparser(name: str, help_text: str) -> argparse.ArgumentParser | None:
-        nonlocal parser
-        if sub is None and name == command:  # the prog that add_parser gives it
-            parser = argparse.ArgumentParser(prog=f"orbichar {name}")
-            return parser
-        return None if sub is None else sub.add_parser(name, help=help_text)
+    chi = sub.add_parser("chi", help="characteristic values of a signature")
+    chi.add_argument("--sig", required=True, help="signature: file, JSON, or Sigma_g(m1,m2,...)")
+    mode = chi.add_mutually_exclusive_group()
+    mode.add_argument("--gamma", help='group spec: "Z^l", "Z^l+Z/d", "F_k", "trivial"')
+    mode.add_argument("--l", help="level of the Z^l characteristic")
+    mode.add_argument("--seq-len", help="emit the sequence of levels 0..L")
+    chi.add_argument("--json", action="store_true", help="wrap output in JSON")
+    chi.set_defaults(func=cmd_chi)
 
-    if chi := subparser("chi", "characteristic values of a signature"):
-        chi.add_argument("--sig", required=True, help="signature: file, JSON, or Sigma_g(m1,m2,...)")
-        mode = chi.add_mutually_exclusive_group()
-        mode.add_argument("--gamma", help='group spec: "Z^l", "Z^l+Z/d", "F_k", "trivial"')
-        mode.add_argument("--l", help="level of the Z^l characteristic")
-        mode.add_argument("--seq-len", help="emit the sequence of levels 0..L")
-        chi.add_argument("--json", action="store_true", help="wrap output in JSON")
-        chi.set_defaults(func=cmd_chi)
+    construct = sub.add_parser("construct", help="build a verified collision family")
+    construct.add_argument("--L", dest="level", required=True)
+    construct.add_argument("--g", dest="genus", required=True)
+    construct.add_argument("--orders", required=True, help="comma-separated seeds >= 2")
+    construct.add_argument("--N", dest="members", help="family size (default: the pair)")
+    construct.add_argument("--equalize", choices=("lcm", "product"), default="lcm")
+    construct.set_defaults(func=cmd_construct)
 
-    if construct := subparser("construct", "build a verified collision family"):
-        construct.add_argument("--L", dest="level", required=True)
-        construct.add_argument("--g", dest="genus", required=True)
-        construct.add_argument("--orders", required=True, help="comma-separated seeds >= 2")
-        construct.add_argument("--N", dest="members", help="family size (default: the pair)")
-        construct.add_argument("--equalize", choices=("lcm", "product"), default="lcm")
-        construct.set_defaults(func=cmd_construct)
+    rec = sub.add_parser("reconstruct", help="invert a characteristic sequence")
+    rec.add_argument("--seq", required=True, help='comma-separated rationals "v0,v1,..."')
+    rec.set_defaults(func=cmd_reconstruct)
 
-    if rec := subparser("reconstruct", "invert a characteristic sequence"):
-        rec.add_argument("--seq", required=True, help='comma-separated rationals "v0,v1,..."')
-        rec.set_defaults(func=cmd_reconstruct)
+    enum = sub.add_parser("enumerate", help="stream all signatures with a given chi_es")
+    enum.add_argument("--chi-es", dest="chi_es", required=True, help='target value "p/q"')
+    enum.set_defaults(func=cmd_enumerate)
 
-    if enum := subparser("enumerate", "stream all signatures with a given chi_es"):
-        enum.add_argument("--chi-es", dest="chi_es", required=True, help='target value "p/q"')
-        enum.set_defaults(func=cmd_enumerate)
+    search = sub.add_parser("search", help="brute-force collision groups in a window")
+    search.add_argument("--g-max", dest="genus_max", required=True)
+    search.add_argument("--k-max", dest="count_max", required=True)
+    search.add_argument("--m-max", dest="order_max", required=True)
+    search.add_argument("--L", dest="level", required=True)
+    search.set_defaults(func=cmd_search)
 
-    if search := subparser("search", "brute-force collision groups in a window"):
-        search.add_argument("--g-max", dest="genus_max", required=True)
-        search.add_argument("--k-max", dest="count_max", required=True)
-        search.add_argument("--m-max", dest="order_max", required=True)
-        search.add_argument("--L", dest="level", required=True)
-        search.set_defaults(func=cmd_search)
+    quotient = sub.add_parser("quotient", help="sector sum for a finite quotient")
+    quotient.add_argument("--group", required=True, help='group name ("C6", "D10") or JSON file')
+    quotient.add_argument("--fpc", required=True, help="fixed-point data JSON file")
+    quotient.add_argument("--gamma", required=True, help="group spec")
+    quotient.add_argument("--json", action="store_true", help="wrap output in JSON")
+    quotient.set_defaults(func=cmd_quotient)
 
-    if quotient := subparser("quotient", "sector sum for a finite quotient"):
-        quotient.add_argument("--group", required=True, help='group name ("C6", "D10") or JSON file')
-        quotient.add_argument("--fpc", required=True, help="fixed-point data JSON file")
-        quotient.add_argument("--gamma", required=True, help="group spec")
-        quotient.add_argument("--json", action="store_true", help="wrap output in JSON")
-        quotient.set_defaults(func=cmd_quotient)
+    verify = sub.add_parser("verify-paper", help="check the built-in published reference values")
+    verify.add_argument("example", choices=sorted(_SCENARIOS))
+    verify.set_defaults(func=cmd_verify)
 
-    if verify := subparser("verify-paper", "check the built-in published reference values"):
-        verify.add_argument("example", choices=sorted(_SCENARIOS))
-        verify.set_defaults(func=cmd_verify)
-
-    return parser
+    return parser, sub.choices
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else argv
-    parser = build_parser(argv[0] if argv else None)
-    # a subcommand's own parser reads the arguments after its name
-    args, extras = parser.parse_known_args(argv if parser.prog == "orbichar" else argv[1:])
+    full, parser = build_parser(), build_parser(argv[0] if argv else None)
+    # a named subcommand's held subparser parses directly: the full one's dispatch is slower
+    args, extras = parser.parse_known_args(argv if parser is full else argv[1:])
     if extras:  # the full parser's error, whose usage lists every subcommand
-        args = build_parser().parse_args(argv)
+        args = full.parse_args(argv)
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -82,7 +82,7 @@ def parse_rational(text: str) -> Fraction:
     text = text.strip()
     if "/" in text:
         num, _, den = text.partition("/")
-        num, den = parse_int(num), parse_int(den)
+        num, den = parse_int(num), parse_int(den, signed=False)  # a sign goes on p only
         if den == 0:
             raise ValueError(f"zero denominator in {text!r}")
         return Fraction(num, den)

@@ -390,10 +390,8 @@ def hom_classes(
     # homs to homs, so the first hom not yet seen is the least of its class.
     # Conjugation by a product is the composite of conjugations, so the
     # closure under conjugation by the generators is the whole class.
-    table, inverse = group.table, group.inverse
-    conjugations = [tuple(table[gx][inverse[g]] for gx in table[g]) for g in group.generators]
-    conjugations = [c for c in conjugations if c != table[group.identity]]  # drop central ones
-    centralizer = cache(partial(_centralizer, table))
+    conjugations = _conjugations(group)
+    centralizer = cache(partial(_centralizer, group.table))
     everything = (1 << group.order) - 1
     generated = _subgroup_joins(group)
     seen: set[tuple[int, ...]] = set()
@@ -414,6 +412,14 @@ def hom_classes(
         seen |= orbit
         classes.append(HomClass(rep, len(orbit), stabilizer, generated(rep)))
     return classes
+
+
+def _conjugations(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """Conjugation x -> g x g^-1 by each generator g as a table indexed by x;
+    a central generator maps every element to itself and is dropped."""
+    table, inverse = group.table, group.inverse
+    conjugations = [tuple(table[gx][inverse[g]] for gx in table[g]) for g in group.generators]
+    return [c for c in conjugations if c != table[group.identity]]
 
 
 def _subgroup_joins(group: FiniteGroup):
@@ -569,9 +575,10 @@ def chi_gamma_quotient(
     else:
         counts = _image_counts(gamma, group, n_gens, generated)
     chis = {image: fixed.chi(image) for image in counts}
+    conjugations = _conjugations(group)  # a central generator fixes every image
     for image, chi in chis.items():
-        for g in group.generators:
-            other = frozenset(group.conjugate(g, x) for x in image)
+        for conjugation in conjugations:
+            other = frozenset(map(conjugation.__getitem__, image))
             if chis[other] != chi:
                 raise ValueError(
                     f"fixed-point data is not conjugation-invariant: conjugate subgroups "

@@ -501,6 +501,13 @@ def test_reconstruct_zero_denominator_exits_2(run, seq):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("argv", [["reconstruct", "--seq=1/-2,2"], ["enumerate", "--chi-es=-1/-2"]])
+def test_a_signed_denominator_exits_2(run, argv):
+    code, out, err = run(*argv)  # the sign of a rational goes on its numerator only
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
 _SEQ_TOKENS = st.one_of(
     st.integers(-(10**40), 10**40).map(str),
     st.builds("{}/{}".format, st.integers(-(10**40), 10**40), st.integers(1, 10**6)),
@@ -1050,17 +1057,11 @@ def _full_parser_main(argv) -> int:
     return args.func(args)
 
 
+@pytest.mark.parametrize("columns", ["40", "80", "200"])
 @pytest.mark.parametrize("argv", PARSER_PROBES, ids=repr)
-def test_per_command_parser_matches_full_parser(capsys, monkeypatch, argv):
+def test_per_command_parser_matches_full_parser(capsys, monkeypatch, argv, columns):
     # help, errors and answers must be those of the parser with all seven
-    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps usage to the terminal width
-    assert _in_process(capsys, main, argv) == _in_process(capsys, _full_parser_main, argv)
-
-
-@pytest.mark.parametrize("columns", ["40", "200"])
-@pytest.mark.parametrize("argv", PARSER_PROBES, ids=repr)
-def test_per_command_parser_matches_full_parser_at_any_width(capsys, monkeypatch, argv, columns):
-    monkeypatch.setenv("COLUMNS", columns)  # wrapped usage, and usage on one line
+    monkeypatch.setenv("COLUMNS", columns)  # argparse wraps usage to the terminal width
     assert _in_process(capsys, main, argv) == _in_process(capsys, _full_parser_main, argv)
 
 
@@ -1071,8 +1072,20 @@ def test_build_parser_lists_the_subcommands_it_holds():
     assert cli.build_parser("chi").format_usage().startswith("usage: orbichar chi [-h] --sig SIG")
 
 
-def test_a_request_builds_only_its_subcommands_parser(run, monkeypatch):
-    cli._parser.cache_clear()  # parsers are kept for the process
+def test_a_warm_request_builds_no_parser(run, tmp_path, monkeypatch):
+    cli._parser_tree.cache_clear()  # the tree is kept for the process
+    fpc = tmp_path / "fpc.json"
+    fpc.write_text(_all_subgroups_fpc("C6"))
+    for argv in (  # one request of each subcommand
+        ["chi", "--sig", "Sigma_0(5,5,10)", "--l", "0"],
+        ["construct", "--L", "4", "--g", "1", "--orders", "5,6,7,8", "--N", "3"],
+        ["reconstruct", "--seq=-1/2,2,19,149,1249,11249"],
+        ["enumerate", "--chi-es=-1/2"],
+        ["search", "--g-max", "1", "--k-max", "2", "--m-max", "6", "--L", "1"],
+        ["quotient", "--group", "C6", f"--fpc={fpc}", "--gamma", "Z^2"],
+        ["verify-paper", "sameLESC"],
+    ):
+        assert run(*argv)[0] == 0, argv
     built = []
     init = argparse.ArgumentParser.__init__
 
@@ -1081,50 +1094,40 @@ def test_a_request_builds_only_its_subcommands_parser(run, monkeypatch):
         init(self, *args, **kwargs)
 
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", spy)
-    assert run("chi", "--sig", "Sigma_0(5,5,10)", "--l", "0") == (0, "-1/2\n", "")
-    assert built == ["orbichar chi"]
-    built.clear()
-    assert run("chi", "--sig", "Sigma_0(5,5,10)", "--l", "0") == (0, "-1/2\n", "")
-    assert built == []  # the second request reuses the kept parser
-    for _ in range(2):
-        with pytest.raises(SystemExit):  # a word that names no subcommand
-            main(["chi2"])
-    assert built == ["orbichar", *(f"orbichar {command}" for command in COMMANDS)]
-
-
-def test_no_argv_grows_the_parser_cache(capsys):
-    cli._parser.cache_clear()
-    words = ["-h", "--", "-x", "bogus", "enum", "chi2", *(f"word{i}" for i in range(20)), *COMMANDS]
-    for word in words:
+    for argv in PARSER_PROBES:
         try:
-            main([word, "--chi-es", "1/6", "extra"])
+            run(*argv)
         except SystemExit:
             pass
-    capsys.readouterr()
-    # the seven names and the full parser, one entry each, whatever the words
-    assert cli._parser.cache_info().currsize == 8
+    assert built == []
+    assert cli._parser_tree.cache_info().currsize == 1
 
 
-def test_build_parser_keeps_at_most_eight_parsers():
-    cli._parser.cache_clear()
+def test_build_parser_returns_the_subparser_the_full_parser_holds():
+    full = cli.build_parser()
+    (sub,) = (action for action in full._actions if isinstance(action, argparse._SubParsersAction))
+    assert sorted(sub.choices) == sorted(COMMANDS)
+    for command in COMMANDS:
+        assert cli.build_parser(command) is sub.choices[command] is not full
+        assert cli.build_parser(command).prog == f"orbichar {command}"
+
+
+def test_a_word_that_names_no_subcommand_gets_the_full_parser():
     full = cli.build_parser()
     words = [None, "", "-h", "--", "bogus", "chi2", "CHI", *(f"word{i}" for i in range(20))]
-    for word in words:  # a word that names no subcommand gets the one full parser
+    for word in words:
         assert cli.build_parser(word) is full, word
-    for command in COMMANDS:
-        assert cli.build_parser(command) is cli.build_parser(command) is not full
-    assert cli._parser.cache_info().currsize == 8
 
 
 def test_a_kept_parser_wraps_help_to_the_width_when_printed(monkeypatch):
-    cli._parser.cache_clear()
+    cli._parser_tree.cache_clear()
     monkeypatch.setenv("COLUMNS", "200")
     parser = cli.build_parser("construct")
     assert len(parser.format_usage().splitlines()) == 1
     monkeypatch.setenv("COLUMNS", "40")
     narrow = cli.build_parser("construct")
     assert narrow is parser
-    fresh = cli._parser.__wrapped__("construct")  # built at 40 columns
+    fresh = cli._parser_tree.__wrapped__()[1]["construct"]  # built at 40 columns
     assert narrow.format_usage() == fresh.format_usage()
     assert narrow.format_help() == fresh.format_help()
     assert len(narrow.format_usage().splitlines()) > 1

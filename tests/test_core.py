@@ -417,7 +417,9 @@ def test_rational_round_trip(value):
     assert parse_rational(format_rational(value)) == value
 
 
-@pytest.mark.parametrize("text", ["1_0", "+1", "٣", "1/2_0", "1/+2", "1 / 2", "", "-"])
+@pytest.mark.parametrize(
+    "text", ["1_0", "+1", "٣", "1/2_0", "1/+2", "1 / 2", "", "-", "1/-2", "-1/-2", "5/-3"]
+)
 def test_parse_rational_reads_only_ascii_digits(text):
     with pytest.raises(ValueError):
         parse_rational(text)
