@@ -521,6 +521,9 @@ def main(argv=None) -> int:
     args, extras = parser.parse_known_args(argv if parser is full else argv[1:])
     if extras:  # the full parser's error, whose usage lists every subcommand
         args = full.parse_args(argv)
+    for name, value in vars(args).items():
+        if value == []:  # argparse before 3.13 reads --opt=-- as [], 3.13 as "--"
+            setattr(args, name, "--")
     try:
         return args.func(args)
     except BrokenPipeError:

@@ -14,7 +14,8 @@ so are an independent oracle for the closed-form characteristics in
 allows.  Free and free abelian gamma, and every gamma on a cyclic group,
 count the homs per image without listing them and name a missing
 subgroup as listing would.  The test suite compares every path with
-class sums from `hom_classes`.
+class sums from `hom_classes`; listing checks abelian images by commuting
+and counts stabilizers directly, sharing no centralizer code with counts.
 Mirrored cylinders use the closed form of their orientable double; their
 dihedral class sums are a test oracle.
 """
@@ -274,39 +275,30 @@ def enumerate_homs(
     """All homomorphisms from the described group into the finite group,
     as tuples of generator images.
 
-    Images are chosen one generator at a time and a prefix is dropped once
-    it fails: abelian descriptors draw each image from the common
-    centralizer of the ones before it, among the _image_options; a relator
-    is checked as soon as its highest generator has an image.  Homs come in
+    Images are chosen one generator at a time, among the _image_options,
+    and a prefix is dropped once it fails: for an abelian descriptor each
+    image must commute with every image before it, and a relator is checked
+    as soon as its highest generator has an image.  Homs come in
     lexicographic order.  The search space |G|**generators and the number of
     generators are capped by the budget: the parameter, a nonnegative int;
     else ORBICHAR_HOM_BUDGET, nonnegative decimal digits; else 10**7.
     """
     n_gens, _ = _check_hom_budget(gamma, group, budget)
-    if group.order == 1 or n_gens == 0:  # one hom; a prefix search would be quadratic in the rank
+    if group.order == 1:  # one hom; a prefix search would be quadratic in the rank
         return [(group.identity,) * n_gens]
-    table, identity, elements = group.table, group.identity, range(group.order)
-    if isinstance(gamma, FgAbelian):  # the candidates in a common centralizer are listed once
-        centralizer = cache(partial(_centralizer, table))
-        allowed = [
-            cache(lambda common, options=options: [x for x in options if common >> x & 1])
-            for options in _image_options(gamma, group, n_gens)
-        ]
-        prefixes = [((), (1 << group.order) - 1)]  # with the common centralizer of their images
-        for among in allowed[:-1]:
-            prefixes = [(p + (x,), c & centralizer(x)) for p, c in prefixes for x in among(c)]
-        return [p + (x,) for p, c in prefixes for x in allowed[-1](c)]
+    table, identity, abelian = group.table, group.identity, isinstance(gamma, FgAbelian)
     relators_at = [[] for _ in range(n_gens)]
     if isinstance(gamma, Presented):
         for word in gamma.words:
             relators_at[max(index for index, _ in word)].append(word)
     homs = [()]
-    for words in relators_at:
+    for options, words in zip(_image_options(gamma, group, n_gens), relators_at):
         homs = [
             prefix + (x,)
             for prefix in homs
-            for x in elements
-            if not words or all(_evaluate(group, w, prefix + (x,)) == identity for w in words)
+            for x in options
+            if not (abelian and any(table[x][y] != table[y][x] for y in prefix))
+            and (not words or all(_evaluate(group, w, prefix + (x,)) == identity for w in words))
         ]
     return homs
 
@@ -379,7 +371,7 @@ def hom_classes(
     A class is found by conjugating by the group's generators only, so the
     partition costs |homs| * |generators| tuple conjugations.  The
     centralizer of a class, the stabilizer of any representative tuple, is
-    counted independently as the common centralizer of its entries; class
+    counted independently as the g that commute with every entry; class
     size times centralizer order always equals the group order (checked).
     Images are folds of memoized subgroup joins; equal ones share one
     frozenset.  Classes come in ascending order of their representative,
@@ -390,9 +382,7 @@ def hom_classes(
     # homs to homs, so the first hom not yet seen is the least of its class.
     # Conjugation by a product is the composite of conjugations, so the
     # closure under conjugation by the generators is the whole class.
-    conjugations = _conjugations(group)
-    centralizer = cache(partial(_centralizer, group.table))
-    everything = (1 << group.order) - 1
+    table, conjugations = group.table, _conjugations(group)
     generated = _subgroup_joins(group)
     seen: set[tuple[int, ...]] = set()
     classes = []
@@ -406,11 +396,13 @@ def hom_classes(
                 if other not in orbit:
                     orbit.add(other)
                     frontier.append(other)
-        stabilizer = reduce(and_, map(centralizer, rep), everything).bit_count()
-        if len(orbit) * stabilizer != group.order:
+        stabilizer = range(group.order)  # narrowed to the g that commute with each entry
+        for x in rep:
+            stabilizer = [g for g in stabilizer if table[g][x] == table[x][g]]
+        if len(orbit) * len(stabilizer) != group.order:
             raise RuntimeError("orbit-stabilizer mismatch in conjugacy computation")
         seen |= orbit
-        classes.append(HomClass(rep, len(orbit), stabilizer, generated(rep)))
+        classes.append(HomClass(rep, len(orbit), len(stabilizer), generated(rep)))
     return classes
 
 

@@ -508,6 +508,31 @@ def test_a_signed_denominator_exits_2(run, argv):
     assert err.startswith("error:") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["chi", "--sig=--"],
+        ["chi", "--sig=Sigma_0(2,3)", "--l=--"],
+        ["construct", "--L=2", "--g=0", "--orders=--"],
+        ["reconstruct", "--seq=--"],
+        ["enumerate", "--chi-es=--"],
+        ["search", "--g-max=0", "--k-max=0", "--m-max=0", "--L=--"],
+    ],
+)
+def test_a_double_dash_value_is_read_as_text(run, argv):
+    # argparse before 3.13 reads --opt=-- as an empty list, which reached
+    # the parsers as a traceback
+    code, out, err = run(*argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "'--'" in err and err.count("\n") == 1
+
+
+def test_a_double_dash_mode_is_refused(run):
+    # the mode [] before the fix; argparse 3.13 refuses "--" itself, with usage
+    code, out, err = run("construct", "--L=2", "--g=0", "--orders=3", "--equalize=--")
+    assert (code, out) == (2, "") and "'--'" in err
+
+
 _SEQ_TOKENS = st.one_of(
     st.integers(-(10**40), 10**40).map(str),
     st.builds("{}/{}".format, st.integers(-(10**40), 10**40), st.integers(1, 10**6)),
@@ -933,6 +958,100 @@ def test_quotient_any_gamma_and_group_exits_cleanly(run, tmp_path, monkeypatch, 
         assert err == "" and out.count("\n") == 1
     else:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1
+
+
+# Argv fuzz for chi, construct and search, in one process as a server would
+# run them, so that the kept parser tree is reused across examples.  Values
+# stay small: ranks, levels and search windows have no budget yet.  Each
+# value goes in as --opt=value, so that junk starting with "-" reaches the
+# subcommand instead of argparse.
+_ARGV_JUNK = st.sampled_from(
+    ["", " ", "-", "--", "-h", "--help", "-1", "x", "1e3", "0x10", "١٢", "²", "+", ",", "^",
+     "(", "()", "{", "{}", "Sigma", "Σ_", "S_1(", "S_-1()", "Z^", "Z/", "F_", "F_-1", "--l=3"]
+)
+_CONE = (
+    st.integers(-1, 40).map(str)
+    | st.builds("{}^{}".format, st.integers(-1, 40), st.integers(-1, 9))
+    | _ARGV_JUNK
+)
+_SUGAR = st.builds(
+    "{}_{}({})".format,
+    st.sampled_from(["Sigma", "Σ", "S"]),
+    st.integers(0, 5),
+    st.lists(_CONE, max_size=5).map(",".join),
+)
+_SMALL_COMPONENTS = (
+    st.just("Z") | st.integers(0, 12).map("Z^{}".format) | st.integers(0, 12).map("Z/{}".format)
+)
+_SMALL_GAMMAS = (
+    st.lists(_SMALL_COMPONENTS | _ARGV_JUNK, min_size=1, max_size=4).map("+".join)
+    | st.integers(0, 12).map("F_{}".format)
+    | st.just("trivial")
+    | _ARGV_JUNK
+)
+
+
+def _number(low, high):
+    return st.integers(low, high).map(str) | _ARGV_JUNK
+
+
+def _exits_cleanly(capsys, argv):
+    """One argv in process: exit 0 with nothing on stderr, or 2, 3 or 4
+    with nothing on stdout and one error line, within 2 s of CPU time."""
+    start = time.process_time()  # CPU time: a loaded host must not fail the bound
+    try:
+        code = main(argv)
+    except SystemExit as exc:  # an argparse rejection, which also prints usage
+        code = exc.code
+    seconds = time.process_time() - start
+    out, err = capsys.readouterr()
+    assert code in (0, 2, 3, 4), (argv, code, err)
+    if code == 0:
+        assert err == "", argv
+    else:
+        assert out == "" and err.startswith("error:") and err.count("\n") == 1, (argv, err)
+    assert seconds < 2, argv
+
+
+_CHI_MODES = (
+    st.just([])
+    | _SMALL_GAMMAS.map(lambda gamma: [f"--gamma={gamma}"])
+    | _number(0, 60).map(lambda level: [f"--l={level}"])
+    | _number(0, 12).map(lambda length: [f"--seq-len={length}"])
+)
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(signature=_SUGAR | _ARGV_JUNK, mode=_CHI_MODES, as_json=st.booleans())
+def test_chi_argv_exits_cleanly(capsys, signature, mode, as_json):
+    _exits_cleanly(capsys, ["chi", f"--sig={signature}", *mode, *(["--json"] if as_json else [])])
+
+
+# as often as not a seed count that some level takes
+_SEED_COUNTS = st.integers(0, 9) | st.sampled_from([1, 2, 4, 8])
+_SEEDS = _SEED_COUNTS.flatmap(lambda n: st.lists(st.integers(0, 40), min_size=n, max_size=n))
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    level=_number(-1, 5),
+    genus=_number(-1, 3),
+    orders=_SEEDS.map(lambda seeds: ",".join(map(str, seeds))) | _ARGV_JUNK,
+    members=st.none() | _number(0, 6),
+    equalize=st.sampled_from([None, "lcm", "product"]),
+)
+def test_construct_argv_exits_cleanly(capsys, level, genus, orders, members, equalize):
+    argv = ["construct", f"--L={level}", f"--g={genus}", f"--orders={orders}"]
+    argv += [f"--N={members}"] if members is not None else []
+    argv += [f"--equalize={equalize}"] if equalize is not None else []
+    _exits_cleanly(capsys, argv)
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(bounds=st.tuples(_number(-1, 3), _number(-1, 4), _number(-1, 16), _number(-1, 5)))
+def test_search_argv_exits_cleanly(capsys, bounds):
+    names = ("--g-max", "--k-max", "--m-max", "--L")
+    _exits_cleanly(capsys, ["search", *(f"{name}={value}" for name, value in zip(names, bounds))])
 
 
 @pytest.mark.parametrize(

@@ -847,6 +847,26 @@ def test_image_counts_match_listed_homs(name):
         assert counted == Counter(map(_subgroup_joins(group), enumerate_homs(gamma, group))), gamma
 
 
+def _no_centralizer(*args):
+    raise AssertionError("listing must not use the centralizer bitmasks of the counts")
+
+
+@pytest.mark.parametrize("name", ["D8", "C2xD6"])
+def test_listing_shares_no_code_with_the_counts(name, monkeypatch):
+    # the counts above are held to the listing, so the listing must not use
+    # the counts' centralizer masks: it checks commuting pairs directly
+    group = group_by_name(name)
+    monkeypatch.setattr("orbichar.sectors._centralizer", _no_centralizer)
+    for gamma in (FgAbelian(2), FgAbelian(3), FgAbelian(1, (2,))):
+        homs = enumerate_homs(gamma, group)
+        assert homs == brute_force_homs(gamma, group), gamma
+        classes = [
+            (cls.representative, cls.size, cls.centralizer_order, cls.image)
+            for cls in hom_classes(gamma, group)
+        ]
+        assert classes == brute_force_classes(homs, group), gamma
+
+
 def _listing_refusal(group, chars, gamma) -> tuple[type, str] | None:
     """The refusal of the listing path: the first hom image without data in
     listing order, else the first image, in the order first seen, whose
