@@ -19,10 +19,12 @@ Layers so far:
 - `group_by_name` on C60, D40, D12xC3 and C6xC6, each output written with
   `FiniteGroup.to_json()`;
 - `chi_gamma_quotient` on D38 F_2, D34 F_2, D40 F_2, D36 F_2, D20 F_3,
-  D40 Z^3, D12xC3 Z+Z/2, C200 Z^2 and C1000 Z^2, and on C1000 Z^2 with
-  the whole group's value left out (the walk that names the missing
-  subgroup). The fixed-point data, built before timing, gives every
-  subgroup that a hom reaches chi = |H| mod 5 - 2, which is
+  D40 Z^3, D12xC3 Z+Z/2, C200 Z^2 and C1000 Z^2, on C1000 Z^2 with the
+  whole group's value left out (the walk that names the missing
+  subgroup), and on D40 Z with every subgroup valued (the check of the
+  document's keys then reads 48 subgroups, of which Z reaches 26). The
+  fixed-point data, built before timing, gives every subgroup that a hom
+  reaches, or every subgroup, chi = |H| mod 5 - 2, which is
   conjugation-invariant; the output is the value as "p/q" or the error
   text;
 - `core`: `chi_gamma` on the orientable double that both mirrored
@@ -72,6 +74,7 @@ from __future__ import annotations
 import contextlib
 import hashlib
 import io
+import itertools
 import json
 import os
 import random
@@ -108,20 +111,22 @@ from orbichar import cli, constructions  # noqa: E402
 
 ROUNDS, REPEATS, NUMBER = 9, 10, 20
 GROUP_NAMES = ("C60", "D40", "D12xC3", "C6xC6")
-# (group, Γ spec, Γ, whether the whole group's value is left out, calls
-# per timing): a quotient call takes 0.05-10 ms, so each input times about
-# 10 ms of calls, fewer repeats than the other layers
+# (group, Γ spec, Γ, which subgroups the data values if not just the
+# reached ones, named after the spec, calls per timing): a quotient call
+# takes 0.05-10 ms, so each input times about 10 ms of calls, fewer
+# repeats than the other layers
 QUOTIENTS = (
-    ("D38", "F_2", FreeGroup(2), False, 2),
-    ("D34", "F_2", FreeGroup(2), False, 2),
-    ("D40", "F_2", FreeGroup(2), False, 2),
-    ("D36", "F_2", FreeGroup(2), False, 2),
-    ("D20", "F_3", FreeGroup(3), False, 2),
-    ("D40", "Z^3", FgAbelian(3), False, 2),
-    ("D12xC3", "Z+Z/2", FgAbelian(1, (2,)), False, 20),
-    ("C200", "Z^2", FgAbelian(2), False, 100),
-    ("C1000", "Z^2", FgAbelian(2), False, 40),
-    ("C1000", "Z^2", FgAbelian(2), True, 20),
+    ("D38", "F_2", FreeGroup(2), None, 2),
+    ("D34", "F_2", FreeGroup(2), None, 2),
+    ("D40", "F_2", FreeGroup(2), None, 2),
+    ("D36", "F_2", FreeGroup(2), None, 2),
+    ("D20", "F_3", FreeGroup(3), None, 2),
+    ("D40", "Z^3", FgAbelian(3), None, 2),
+    ("D12xC3", "Z+Z/2", FgAbelian(1, (2,)), None, 20),
+    ("C200", "Z^2", FgAbelian(2), None, 100),
+    ("C1000", "Z^2", FgAbelian(2), None, 40),
+    ("C1000", "Z^2", FgAbelian(2), "without G", 20),
+    ("D40", "Z", FgAbelian(1), "every subgroup", 20),
 )
 QUOTIENT_REPEATS = 5
 # (input name, calls per timing) of the core layer: a call is chi_gamma over
@@ -198,6 +203,11 @@ def _reached(name: str, group, gamma) -> set:
     if name.startswith("C") and "x" not in name:
         return {group.subgroup_closure([x]) for x in range(group.order)}
     return {group.subgroup_closure(hom) for hom in enumerate_homs(gamma, group)}
+
+
+def _every_subgroup(group) -> set:
+    """Every subgroup of a dihedral group, each generated by two elements."""
+    return {group.subgroup_closure(pair) for pair in itertools.product(range(group.order), repeat=2)}
 
 
 def _quotient(group, fixed, gamma) -> str:
@@ -326,16 +336,16 @@ def measure() -> dict:
         entry["sha256"] = _digest(group_by_name(name).to_json())
         groups[name] = entry
     quotients = {}
-    for name, spec, gamma, without_whole, number in QUOTIENTS:
+    for name, spec, gamma, valued, number in QUOTIENTS:
         group = group_by_name(name)
-        reached = _reached(name, group, gamma)
-        if without_whole:
+        reached = _every_subgroup(group) if valued == "every subgroup" else _reached(name, group, gamma)
+        if valued == "without G":
             reached.discard(frozenset(range(group.order)))
         fixed = FixedPointCharacter({h: len(h) % 5 - 2 for h in reached})  # built before timing
         call = lambda group=group, fixed=fixed, gamma=gamma: _quotient(group, fixed, gamma)
         entry = time_call(call, QUOTIENT_REPEATS, number)
         entry["number"], entry["sha256"] = number, _digest(call())
-        quotients[f"{name} {spec}{' without G' if without_whole else ''}"] = entry
+        quotients[" ".join(filter(None, (name, spec, valued)))] = entry
     families = {}
     for name, level, genus, seeds, equalize, members, number, scaled_number in COLLISIONS:
         args = (level, genus, [int(seed) for seed in seeds.split(",")], equalize, members)

@@ -4,8 +4,8 @@ A quotient of a manifold by a finite group decomposes its sectors over
 conjugacy classes of homomorphisms into the group; each class contributes
 the Euler characteristic of the fixed set of its image divided by the
 centralizer order.  Manifolds are never represented here: a
-FixedPointCharacter records the fixed-set Euler characteristic per
-subgroup, which is all the sector sum needs.
+FixedPointCharacter records chi(Fix H) per subgroup H, all the sector sum
+needs, and as g carries Fix H onto Fix gHg^-1 it is a class function.
 
 `hom_classes` and the listing path of `chi_gamma_quotient`, which a
 presented gamma takes on a non-cyclic group, enumerate homomorphisms and
@@ -481,10 +481,10 @@ class FixedPointCharacter:
     """Euler characteristic of the fixed set, per subgroup.
 
     Given as a dict or as (subgroup, chi) pairs of ints, kept keyed by
-    frozen set; a subgroup given twice must get one chi.  The data
-    must cover every subgroup generated by the images of the homomorphisms
-    being summed over.  chi_top is not monotone in the subgroup, so no
-    consistency between nested subgroups is imposed.
+    frozen set; a subgroup given twice must get one chi.  The data must
+    cover every hom image summed over, and on a non-cyclic group each key
+    must lie in the group and give every conjugate the same chi.  chi_top
+    is not monotone in the subgroup, so nested subgroups need not agree.
     """
 
     chars: dict[frozenset[int], int]
@@ -552,10 +552,10 @@ def chi_gamma_quotient(
     missing subgroup itself.  On other G, _image_counts counts the homs of
     a free or free abelian gamma per image, and a presented one's are
     listed once; either names the first image without data in listing
-    order.  Data that gives an image and its conjugate by a generator two
-    values is refused; images are closed under conjugation, so this covers
-    every conjugate.  By orbit-stabilizer the average is the sum over hom
-    classes of chi(fixed set) / centralizer order.
+    order.  Then every key, images first, must lie in G and share its chi
+    with its conjugate by each non-central generator: a class the data
+    touches is given in full, whatever gamma.  By orbit-stabilizer the
+    average is the sum over hom classes of chi(fixed set) / centralizer order.
     """
     n_gens, budget = _check_hom_budget(gamma, group, budget)  # resolved once, passed on
     generator = _cyclic_generator(group)
@@ -566,17 +566,20 @@ def chi_gamma_quotient(
         counts = Counter(map(generated, enumerate_homs(gamma, group, budget)))
     else:
         counts = _image_counts(gamma, group, n_gens, generated)
-    chis = {image: fixed.chi(image) for image in counts}
-    conjugations = _conjugations(group)  # a central generator fixes every image
-    for image, chi in chis.items():
+    total = sum(fixed.chi(image) * count for image, count in counts.items())
+    conjugations = _conjugations(group)  # a central generator fixes every key
+    elements = frozenset(range(group.order))
+    for subgroup, chi in {**counts, **fixed.chars}.items():  # reached images first, then the rest
+        if not subgroup <= elements:
+            raise ValueError(f"fixed-point subgroup {sorted(subgroup)} is outside 0..{group.order - 1}")
         for conjugation in conjugations:
-            other = frozenset(map(conjugation.__getitem__, image))
-            if chis[other] != chi:
+            other = frozenset(map(conjugation.__getitem__, subgroup))
+            if fixed.chi(other) != chi:
                 raise ValueError(
                     f"fixed-point data is not conjugation-invariant: conjugate subgroups "
-                    f"{sorted(image)} and {sorted(other)} have chi {chi} and {chis[other]}"
+                    f"{sorted(subgroup)} and {sorted(other)} have chi {chi} and {fixed.chars[other]}"
                 )
-    return Fraction(sum(chis[image] * count for image, count in counts.items()), group.order)
+    return Fraction(total, group.order)
 
 
 def _cyclic_generator(group: FiniteGroup) -> int | None:

@@ -705,6 +705,33 @@ def test_quotient_conjugation_variant_data_exits_2(run, tmp_path):
             assert "conjugate subgroups [0, 3] and [0, 4]" in err
 
 
+_VARIANT = "fixed-point data is not conjugation-invariant: conjugate subgroups"
+_KLEIN = f"{_VARIANT} [0, 3, 6, 9] and [0, 3, 7, 10] have chi 0 and 2"
+_REFLECTIONS = f"{_VARIANT} [0, 6] and [0, 9] have chi 0 and 2"
+
+
+@pytest.mark.parametrize(
+    "group, gamma, changed, message",
+    [
+        *(("D12", gamma, {(0, 3, 6, 9): 0}, _KLEIN) for gamma in ("Z", "Z/6", "Z^2", "F_2")),
+        *(("D10", gamma, {(0, 6): 0}, _REFLECTIONS) for gamma in ("trivial", "Z/5")),
+        ("D6", "Z", {(0, 9): 2}, "fixed-point subgroup [0, 9] is outside 0..5"),
+        ("D6", "F_2", {(0, -1): 2}, "fixed-point subgroup [-1, 0] is outside 0..5"),
+    ],
+)
+def test_quotient_document_gets_one_verdict(run, tmp_path, group, gamma, changed, message):
+    # every subgroup valued 2 but the changed keys; Z and Z/6 reach no
+    # Klein subgroup of D12, trivial and Z/5 no reflection of D10, and no
+    # hom reaches an element outside D6, so these documents exited 0
+    chars = {tuple(e["subgroup"]): e["chi"] for e in json.loads(_all_subgroups_fpc(group))}
+    chars |= changed
+    fpc = tmp_path / "fpc.json"
+    entries = sorted([sorted(s), c] for s, c in chars.items())
+    fpc.write_text(json.dumps([{"subgroup": s, "chi": c} for s, c in entries]))
+    result = run("quotient", "--group", group, "--fpc", str(fpc), "--gamma", gamma)
+    assert result == (2, "", f"error: {message}\n")
+
+
 @pytest.mark.parametrize(
     "option, document",
     [
@@ -1011,6 +1038,7 @@ def _exits_cleanly(capsys, argv):
     else:
         assert out == "" and err.startswith("error:") and err.count("\n") == 1, (argv, err)
     assert seconds < 2, argv
+    return code
 
 
 _CHI_MODES = (
@@ -1052,6 +1080,43 @@ def test_construct_argv_exits_cleanly(capsys, level, genus, orders, members, equ
 def test_search_argv_exits_cleanly(capsys, bounds):
     names = ("--g-max", "--k-max", "--m-max", "--L")
     _exits_cleanly(capsys, ["search", *(f"{name}={value}" for name, value in zip(names, bounds))])
+
+
+# Fixed-point entries that a group's own subgroups do not give: elements
+# outside the group or negative, empty, repeated or non-subgroup keys.  A
+# boolean is refused on load, so one document in four carries one.
+_FPC_ENTRIES = st.lists(
+    st.fixed_dictionaries({"subgroup": st.lists(st.integers(-2, 61), max_size=6), "chi": st.integers(-3, 3)}),
+    max_size=3,
+)
+_BOOLEAN_ENTRIES = st.sampled_from([[{"subgroup": [True], "chi": 2}], [{"subgroup": [0], "chi": False}]])
+_FPC_BOOLEANS = st.integers(0, 3).flatmap(lambda k: _BOOLEAN_ENTRIES if k == 0 else st.just([]))
+# one name in four is junk, so that most documents are read
+_NAMED_GROUPS = st.integers(0, 3).flatmap(lambda k: _JUNK_GROUPS if k == 0 else _group_names())
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(group=_NAMED_GROUPS, gamma=_SMALL_GAMMAS, data=st.data())
+def test_quotient_argv_exits_cleanly(capsys, tmp_path, monkeypatch, group, gamma, data):
+    # every subgroup of a builtin group valued 2, as often as not with one
+    # entry given another value, given twice or dropped, and junk entries
+    # mixed in; the budget of 10000 keeps each table and hom search small
+    monkeypatch.setenv("ORBICHAR_HOM_BUDGET", "10000")
+    try:
+        entries = json.loads(_all_subgroups_fpc(group))
+    except ValueError:  # junk name: the group loader refuses it first
+        entries = []
+    if entries and data.draw(st.booleans()):
+        i = data.draw(st.integers(0, len(entries) - 1))
+        changed = {**entries[i], "chi": data.draw(st.integers(-3, 3))}
+        edits = {"another value": [changed], "given twice": [entries[i], changed], "dropped": []}
+        entries[i : i + 1] = edits[data.draw(st.sampled_from(sorted(edits)))]
+    junk = data.draw(_FPC_ENTRIES) + data.draw(_FPC_BOOLEANS)
+    entries[data.draw(st.integers(0, len(entries))):0] = junk
+    fpc = tmp_path / "fpc.json"
+    fpc.write_text(json.dumps(entries))
+    code = _exits_cleanly(capsys, ["quotient", f"--group={group}", f"--fpc={fpc}", f"--gamma={gamma}"])
+    assert code in (0, 2, 3)
 
 
 @pytest.mark.parametrize(

@@ -13,6 +13,7 @@ from itertools import combinations_with_replacement, product
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from orbichar import (
     FgAbelian,
@@ -907,6 +908,97 @@ def test_counted_refusals_match_the_listing_path(name):
                 chi_gamma_quotient(group, FixedPointCharacter(chars), gamma)
             assert str(err.value) == expected[1], gamma
         assert refused >= 5, gamma
+
+
+# ---------------------------------------------------------------------------
+# one verdict per fixed-point document, whatever gamma reaches
+# ---------------------------------------------------------------------------
+
+def _every_subgroup(group) -> list[frozenset[int]]:
+    """The subgroups generated by two elements, which for a dihedral group
+    are all of them, in the order of their sorted elements."""
+    pairs = product(range(group.order), repeat=2)
+    return sorted({group.subgroup_closure(pair) for pair in pairs}, key=sorted)
+
+
+@pytest.mark.parametrize("gamma", [FgAbelian(1), FgAbelian(0, (6,)), FgAbelian(2), FreeGroup(2)])
+def test_klein_pair_data_is_refused_for_every_gamma(gamma):
+    # Z and Z/6 reach only cyclic images, so the Klein subgroups of D12 with
+    # values 0 and 2 were read only for Z^2 and F_2, and 2 printed for the others
+    group = dihedral_group(6)
+    chars = {s: 0 if sorted(s) == [0, 3, 6, 9] else 2 for s in _every_subgroup(group)}
+    message = "conjugate subgroups [0, 3, 6, 9] and [0, 3, 7, 10] have chi 0 and 2"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        chi_gamma_quotient(group, FixedPointCharacter(chars), gamma)
+
+
+@pytest.mark.parametrize("gamma", [FgAbelian(0), FgAbelian(0, (5,))])
+def test_unreached_reflections_with_two_values_are_refused(gamma):
+    # trivial and Z/5 reach only rotations: 1/10 and 1/2 were printed
+    group = dihedral_group(5)
+    chars = {s: 0 if sorted(s) == [0, 6] else 1 for s in _every_subgroup(group)}
+    message = "conjugate subgroups [0, 6] and [0, 9] have chi 0 and 1"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        chi_gamma_quotient(group, FixedPointCharacter(chars), gamma)
+
+
+@pytest.mark.parametrize("gamma", [FgAbelian(0), FgAbelian(2), FreeGroup(2)])
+@pytest.mark.parametrize("stray, named", [(9, "[0, 9]"), (-1, "[-1, 0]")])
+def test_elements_outside_the_group_are_refused(gamma, stray, named):
+    # accepted when no hom reached them; unchecked, 9 would raise IndexError
+    # in the conjugation walk, and -1 would index a table row from its end
+    group = dihedral_group(3)
+    chars = {s: 2 for s in _every_subgroup(group)} | {frozenset({0, stray}): 2}
+    with pytest.raises(ValueError) as err:
+        chi_gamma_quotient(group, FixedPointCharacter(chars), gamma)
+    assert str(err.value) == f"fixed-point subgroup {named} is outside 0..5"
+
+
+def test_a_conjugate_left_out_is_named():
+    # [0, 3] of D6 without [0, 4] and [0, 5]: the trivial gamma reaches
+    # neither, and the document is refused all the same
+    group = dihedral_group(3)
+    fixed = FixedPointCharacter({(0,): 2, (0, 3): 2, (0, 1, 2): 2})
+    for gamma in (FgAbelian(0), FgAbelian(0, (3,))):
+        with pytest.raises(FixedPointDataError) as err:
+            chi_gamma_quotient(group, fixed, gamma)
+        assert str(err.value) == repr("no fixed-point value for subgroup [0, 4]")
+
+
+@cache
+def _battery_images(name) -> tuple:
+    """A group, and the conjugacy classes of the images of every gamma of
+    the counting battery, each class as a sorted list."""
+    group = group_by_name(name)
+    images = {cls.image for gamma in COUNTING_BATTERY for cls in hom_classes(gamma, group)}
+    classes = {frozenset(_conjugates(group, image)) for image in images}
+    return group, sorted((sorted(c, key=sorted) for c in classes), key=lambda c: sorted(c[0]))
+
+
+@settings(max_examples=40, deadline=None)
+@given(name=st.sampled_from(["D8", "C2xD6", "D12xC3"]), data=st.data())
+def test_one_verdict_for_every_gamma(name, data):
+    # data for every image of every gamma, a value per class with a few
+    # subgroups given another, keys in any order, and at times one key
+    # outside the group: accepted for every gamma, or refused for every one
+    group, classes = _battery_images(name)
+    chars = {}
+    for conjugates in classes:
+        chars |= dict.fromkeys(conjugates, data.draw(st.integers(-2, 2)))
+    keys = sorted(chars, key=sorted)
+    for key in data.draw(st.lists(st.sampled_from(keys), max_size=2)):
+        chars[key] = data.draw(st.integers(-2, 2))
+    if data.draw(st.integers(0, 4)) == 0:
+        chars[frozenset({0, data.draw(st.sampled_from([-1, group.order]))})] = 2
+    document = [(key, chars[key]) for key in data.draw(st.permutations(list(chars)))]
+    verdicts = set()
+    for gamma in COUNTING_BATTERY:
+        try:
+            chi_gamma_quotient(group, FixedPointCharacter(document), gamma)
+            verdicts.add(None)
+        except ValueError as exc:  # FixedPointDataError is a KeyError: it fails the test
+            verdicts.add(type(exc))
+    assert len(verdicts) == 1, verdicts
 
 
 def test_cyclic_sum_by_counting_needs_only_the_images(monkeypatch):
