@@ -41,6 +41,10 @@ Layers so far:
   once more, each name followed by " scaled", time what `construct` runs:
   `constructions._scaled_collision_pair` plus `expand_family` on its
   cofactors; the output is the scale in hex and the cofactor family;
+- `char_sequence` on the 52 signatures of the reconstruct layer's three
+  sequence sets (below), each at its set's length, and on the first member
+  of the lcm L=7 pair of the `build_collision_pair` layer (counts of about
+  3,800 digits) at level 7; the output is the values as "p/q";
 - `reconstruct` on three sequence sets built from `random.Random(1)` and
   shaped like perfbench's inverse requests: 40 full sequences (length
   2k+1 for k distinct orders) of genus 0-3 signatures with 1-6 orders in
@@ -153,6 +157,10 @@ COLLISION_REPEATS = 5
 # 0.25-15 ms, a recurrence pass 0.05-5 ms, so each input times 10-60 ms
 RECONSTRUCT_NUMBERS = {"full": 4, "prefixes": 80, "large orders": 80}
 RECURRENCE_NUMBERS = {"full": 15, "prefixes": 150, "large orders": 300}
+# (input name, calls per timing) of the char_sequence layer: a pass over
+# the 52 signatures takes 1.5-3 ms, the lcm L=7 member at level 7 0.8-1.5
+# ms, so each input times 15-60 ms
+CHAR_SEQUENCE_INPUTS = (("sequence sets", 20), ("lcm L=7 member level 7", 20))
 SEQUENCE_REPEATS = 5
 # (input name, argv, calls per timing) of the cli layer's main calls:
 # "{fpc}" stands for the fixed-point file; construct takes 6-9 ms a call
@@ -239,25 +247,39 @@ def _large_signature(rng: random.Random) -> OrbifoldSignature:
     return OrbifoldSignature(rng.randint(0, 3), {m: rng.randint(1, 2) for m in orders})
 
 
-def sequence_sets() -> dict[str, list[list]]:
-    """The fixed characteristic sequences of the reconstruct layer, by set."""
+def sequence_inputs() -> dict[str, list[tuple[OrbifoldSignature, int]]]:
+    """The signatures of the reconstruct layer's sequence sets with their
+    sequence lengths, by set."""
     rng = random.Random(1)
     full = [_small_signature(rng) for _ in range(40)]
     prefixes = [_small_signature(rng) for _ in range(8)]
     large = [_large_signature(rng) for _ in range(4)]
     return {
-        "full": [char_sequence(sig, 2 * len(sig.cones) + 1) for sig in full],
-        "prefixes": [char_sequence(sig, rng.randint(1, 2 * len(sig.cones))) for sig in prefixes],
-        "large orders": [char_sequence(sig, 2 * len(sig.cones) + 1) for sig in large],
+        "full": [(sig, 2 * len(sig.cones) + 1) for sig in full],
+        "prefixes": [(sig, rng.randint(1, 2 * len(sig.cones))) for sig in prefixes],
+        "large orders": [(sig, 2 * len(sig.cones) + 1) for sig in large],
     }
+
+
+def sequence_sets() -> dict[str, list[list]]:
+    """The fixed characteristic sequences of the reconstruct layer, by set."""
+    return {
+        name: [char_sequence(sig, length) for sig, length in pairs]
+        for name, pairs in sequence_inputs().items()
+    }
+
+
+def _lcm_member() -> OrbifoldSignature:
+    """The first member of the lcm L=7 pair of the build_collision_pair layer."""
+    _, level, genus, seeds, equalize, *_ = COLLISIONS[0]
+    return _family(level, genus, [int(s) for s in seeds.split(",")], equalize, None)[0]
 
 
 def _core_layer() -> dict:
     gammas = [cli.parse_gamma_spec(spec) for spec in CHI_GAMMA_SPECS]
-    _, level, genus, seeds, equalize, *_ = COLLISIONS[0]  # the lcm L=7 pair
     signatures = {
         "nonorientable double": OrbifoldSignature.from_orders(1, 3, 5, 7, 11),
-        "lcm L=7 member": _family(level, genus, [int(s) for s in seeds.split(",")], equalize, None)[0],
+        "lcm L=7 member": _lcm_member(),
     }
     inputs = {}
     for name, number in CHI_INPUTS:
@@ -266,6 +288,19 @@ def _core_layer() -> dict:
         entry["number"], entry["sha256"] = number, _digest(list(map(format_rational, call())))
         inputs[name] = entry
     return inputs
+
+
+def _char_sequence_layer() -> dict:
+    pairs = [pair for pairs in sequence_inputs().values() for pair in pairs]
+    inputs = {"sequence sets": pairs, "lcm L=7 member level 7": [(_lcm_member(), 7)]}
+    entries = {}
+    for name, number in CHAR_SEQUENCE_INPUTS:
+        call = lambda pairs=inputs[name]: [char_sequence(sig, length) for sig, length in pairs]
+        entry = time_call(call, SEQUENCE_REPEATS, number)
+        values = [list(map(format_rational, seq)) for seq in call()]
+        entry["number"], entry["sha256"] = number, _digest(values)
+        entries[name] = entry
+    return entries
 
 
 def _reconstructed(values) -> dict:
@@ -388,6 +423,12 @@ def measure() -> dict:
             "rounds": ROUNDS,
             "repeats": COLLISION_REPEATS,
             "inputs": families,
+        },
+        "char_sequence": {
+            "unit": "ms per call",
+            "rounds": ROUNDS,
+            "repeats": SEQUENCE_REPEATS,
+            "inputs": _char_sequence_layer(),
         },
         "reconstruct": {
             "unit": "ms per call",

@@ -6,7 +6,9 @@ exponential sum over the distinct cone orders, so an exact minimal linear
 recurrence recovers the orders as integer roots of its characteristic
 polynomial, and dividing out each root isolates its multiplicity.  The
 recurrence runs fraction-free over the integers, all arithmetic is exact,
-and there are no tolerances anywhere.
+and there are no tolerances anywhere.  Every value at level >= 1 is an
+integer, so past its input check reconstruct reads, differences and
+verifies those levels as ints; only the level-0 value is a Fraction.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from itertools import combinations_with_replacement, count
 from math import gcd, lcm
 from typing import Iterator, Sequence, Union
 
-from .core import OrbifoldSignature, check_int, check_rational, chi_level
+from .core import OrbifoldSignature, check_int, check_rational, chi_level, integer_levels
 
 
 class InvalidSequenceError(ValueError):
@@ -37,7 +39,7 @@ ReconstructResult = Union[OrbifoldSignature, InsufficientData]
 
 def char_sequence(sig: OrbifoldSignature, length: int) -> list[Fraction]:
     """Characteristic values at levels 0..length, as exact Fractions."""
-    return [chi_level(sig, l) for l in range(check_int(length, "length", 0) + 1)]
+    return [chi_level(sig, 0), *map(Fraction, integer_levels(sig, check_int(length, "length", 0)))]
 
 
 # ---------------------------------------------------------------------------
@@ -136,16 +138,11 @@ def reconstruct(values: Sequence[Fraction | int]) -> ReconstructResult:
     top = values[1]
     if top.denominator != 1 or top.numerator % 2 != 0 or top > 2:
         raise InvalidSequenceError("level-1 value must be an even integer <= 2")
-    genus = (2 - int(top)) // 2
-
-    diffs: list[int] = []
-    for j in range(1, len(values) - 1):
-        step = values[j + 1] - values[j]
-        if step.denominator != 1 or step < 0:
-            raise InvalidSequenceError(
-                "level differences must be nonnegative integers"
-            )
-        diffs.append(int(step))
+    genus = (2 - top.numerator) // 2
+    levels = [v.numerator for v in values[1:]]
+    diffs = [b - a for a, b in zip(levels, levels[1:])]
+    if any(v.denominator != 1 for v in values[2:]) or any(d < 0 for d in diffs):
+        raise InvalidSequenceError("level differences must be nonnegative integers")
 
     if all(d == 0 for d in diffs):
         if values[0] == values[1]:
@@ -196,7 +193,7 @@ def reconstruct(values: Sequence[Fraction | int]) -> ReconstructResult:
             return fail()
         cones[order] = count
     candidate = OrbifoldSignature(genus, cones)
-    if char_sequence(candidate, len(values) - 1) != values:
+    if chi_level(candidate, 0) != values[0] or integer_levels(candidate, len(levels)) != levels:
         return fail()
     return candidate
 

@@ -396,6 +396,20 @@ def chi_level(sig: OrbifoldSignature, level: int) -> Fraction:
     return Fraction(2 - 2 * sig.genus - sig.cone_count) + power_sum(sig, level - 1)
 
 
+def integer_levels(sig: OrbifoldSignature, top: int) -> list[int]:
+    """The characteristics at levels 1..top as ints, from one running power
+    walk: each level multiplies every cone's term count * order**(level-1)
+    by its order.  ``top`` is trusted."""
+    base = 2 - 2 * sig.genus - sig.cone_count
+    orders = [order for order, _ in sig.cones]
+    terms = [count for _, count in sig.cones]
+    levels = []
+    for _ in range(top):
+        levels.append(base + sum(terms))
+        terms = [term * order for term, order in zip(terms, orders)]
+    return levels
+
+
 def chi_es(sig: OrbifoldSignature) -> Fraction:
     """Euler-Satake characteristic: 2 - 2g - k + sum(1/order)."""
     return chi_level(sig, 0)

@@ -70,6 +70,8 @@ class HomBudgetExceeded(RuntimeError):
 class FixedPointDataError(KeyError):
     """A required subgroup is missing from the fixed-point data."""
 
+    __str__ = Exception.__str__  # the bare text, not KeyError's repr of it
+
 
 # ---------------------------------------------------------------------------
 # Finite groups as multiplication tables

@@ -24,6 +24,8 @@ from orbichar import (
     reconstruct,
     search_collisions,
 )
+from orbichar.classify import _divide_root, _horner, _integer_roots
+from orbichar.core import check_int, check_rational, chi_level
 
 
 def sig(genus, *orders):
@@ -272,6 +274,152 @@ def test_reconstruct_tail_perturbation_stays_safe():
     values = char_sequence(sig(0, 3, 3, 9), 9)
     values[-1] += 1
     assert isinstance(reconstruct(values), InsufficientData)
+
+
+# The Fraction-path reconstruct as it stood before levels >= 1 were read as
+# ints, kept as the reference of the differential test below: only its name,
+# its annotations and its Fraction char_sequence are renamed.
+def fraction_char_sequence(sig, length):
+    return [chi_level(sig, l) for l in range(check_int(length, "length", 0) + 1)]
+
+
+def fraction_reconstruct(values):
+    """Invert a characteristic sequence back to its signature.
+
+    The genus is read off the level-1 value; consecutive differences
+    v_l = sum((m-1) * m**(l-1)) over cone orders m feed the recurrence
+    fitting.  Returns InsufficientData when the data cannot pin the
+    signature down (fewer than 2D differences for D distinct orders, or a
+    failure that a longer consistent sequence could still repair); raises
+    InvalidSequenceError when no signature at all can match.  A candidate is
+    only ever returned after its full sequence reproduces the input.
+    """
+    values = [check_rational(v, "sequence value") for v in values]
+    if len(values) < 2:
+        raise InvalidSequenceError("need at least the level-0 and level-1 values")
+    top = values[1]
+    if top.denominator != 1 or top.numerator % 2 != 0 or top > 2:
+        raise InvalidSequenceError("level-1 value must be an even integer <= 2")
+    genus = (2 - int(top)) // 2
+
+    diffs: list[int] = []
+    for j in range(1, len(values) - 1):
+        step = values[j + 1] - values[j]
+        if step.denominator != 1 or step < 0:
+            raise InvalidSequenceError(
+                "level differences must be nonnegative integers"
+            )
+        diffs.append(int(step))
+
+    if all(d == 0 for d in diffs):
+        if values[0] == values[1]:
+            return OrbifoldSignature(genus)
+        # cone points exist but no difference data constrains them
+        gap = values[1] - values[0]  # equals sum(1 - 1/m) over cones
+        if diffs:
+            raise InvalidSequenceError("constant tail with nonzero cone deficit")
+        if gap < 0 or 2 * gap < int(gap) + 1:
+            # no integer cone count k with k/2 <= gap < k exists
+            raise InvalidSequenceError("cone deficit fits no cone count")
+        return InsufficientData("only the Euler-Satake value constrains the cones")
+
+    if 0 in diffs:
+        raise InvalidSequenceError("difference sequence of a signature is positive")
+    for j in range(len(diffs) - 1):
+        # every cone order is >= 2, so the differences at least double
+        if diffs[j + 1] < 2 * diffs[j]:
+            raise InvalidSequenceError("differences must at least double per level")
+
+    coefficients, depth = minimal_recurrence(diffs)
+    if len(diffs) < 2 * depth:
+        return InsufficientData(
+            f"{len(diffs)} differences cannot determine a depth-{depth} recurrence"
+        )
+
+    def fail():
+        if len(diffs) >= 2 * depth + 1:
+            raise InvalidSequenceError("not a valid characteristic sequence")
+        return InsufficientData(
+            "determined recurrence admits no signature; a longer sequence may"
+        )
+
+    if any(c.denominator != 1 for c in coefficients):
+        return fail()
+    poly = [1] + [-int(c) for c in coefficients]
+    roots = _integer_roots(poly)
+    if roots is None:
+        return fail()
+    cones: dict[int, int] = {}
+    for order in roots:
+        # the quotient vanishes at every other order, so it isolates this
+        # order's term (order - 1) * count * order**j of the differences
+        quotient = _divide_root(poly, order)
+        weight = sum(c * d for c, d in zip(reversed(quotient), diffs))
+        count, rest = divmod(weight, _horner(quotient, order)[0] * (order - 1))
+        if count <= 0 or rest:
+            return fail()
+        cones[order] = count
+    candidate = OrbifoldSignature(genus, cones)
+    if fraction_char_sequence(candidate, len(values) - 1) != values:
+        return fail()
+    return candidate
+
+
+def _outcome(function, values):
+    """The result, or the type and text of the exception raised."""
+    try:
+        return function(values)
+    except Exception as exc:  # whatever is raised is part of the outcome compared
+        return type(exc), str(exc)
+
+
+_ORDERS = st.one_of(st.integers(2, 60), st.integers(10**3, 10**7))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 3), st.lists(_ORDERS, min_size=1, max_size=6), st.data())
+def test_integer_reconstruct_matches_fraction_reference(genus, orders, data):
+    signature = sig(genus, *orders)
+    values = char_sequence(signature, 2 * len(signature.cones) + 1)
+    level = data.draw(st.integers(2, len(values) - 1), label="level")
+    p = data.draw(st.integers(2, 60), label="p")
+    non_integer = list(values)
+    non_integer[level] += Fraction(1, p)
+    negative = list(values)
+    negative[level] = values[level - 1] - 1
+    shrunk = list(values)
+    shrunk[-1] -= data.draw(st.integers(1, values[-1] - values[-2]), label="shrink")
+    shifted = list(values)
+    shifted[0] += Fraction(1, p)
+    bumped = list(values)  # mostly a recurrence with non-integer coefficients
+    bumped[level] += data.draw(st.integers(1, 3), label="bump")
+    for case in (values, non_integer, negative, shrunk, shifted, bumped):
+        for length in range(len(case) + 1):
+            prefix = case[:length]
+            assert _outcome(reconstruct, prefix) == _outcome(fraction_reconstruct, prefix)
+
+
+def test_reconstruct_fits_through_the_module_recurrence(monkeypatch):
+    # the benchmark's tracer times the recurrence by wrapping this name, so
+    # reconstruct must reach it through the module, once per sequence whose
+    # differences are not all zero
+    calls = []
+
+    def counting(seq):
+        calls.append(list(seq))
+        return minimal_recurrence(seq)
+
+    monkeypatch.setattr(orbichar.classify, "minimal_recurrence", counting)
+    signatures = (sig(0, 5, 5, 10), sig(2, 3, 3, 7), sig(1, 10**6), sig(3, 2, 60, 60))
+    for signature in signatures:
+        for length in range(2, 2 * len(signature.cones) + 2):
+            calls.clear()
+            reconstruct(char_sequence(signature, length))
+            assert len(calls) == 1, (signature, length)
+    for values in ([2, 2], [0, 0, 0], [1, 2], [Fraction(3, 2), 2]):
+        calls.clear()
+        reconstruct(values)
+        assert calls == [], values
 
 
 # ---------------------------------------------------------------------------

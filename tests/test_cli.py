@@ -676,6 +676,14 @@ def test_quotient_missing_fpc_entry_exits_2(run, tmp_path):
     assert err
 
 
+def test_quotient_missing_subgroup_error_is_bare(run, tmp_path):
+    # the missing-data error subclasses KeyError, whose str() would quote it
+    fpc = tmp_path / "fpc.json"
+    fpc.write_text(json.dumps([{"subgroup": [0], "chi": 2}]))
+    result = run("quotient", "--group", "C6", "--fpc", str(fpc), "--gamma", "Z")
+    assert result == (2, "", "error: no fixed-point value for subgroup [0, 1, 2, 3, 4, 5]\n")
+
+
 @pytest.mark.parametrize(
     "repeat, expected",
     [
